@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke
+.PHONY: check fmt vet build perfbench-build test race bench-smoke bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke
 
-## check: everything CI runs — format, vet, build, tests (incl. -race),
-## bench smoke, the facade-equivalence golden diff, the coverage floor,
-## the chaos sweep, and the client/server and multinode smokes.
-check: fmt vet build test race bench-smoke equiv cover chaos server-smoke multinode-smoke
+## check: everything CI runs — format, vet, build (incl. the perfbench
+## module), tests (incl. -race), bench smoke, the facade-equivalence
+## golden diff, the coverage floor, the chaos sweep, and the
+## client/server and multinode smokes.
+check: fmt vet build perfbench-build test race bench-smoke equiv cover chaos server-smoke multinode-smoke
 
 ## COVER_FLOOR: minimum total statement coverage (percent) make cover accepts.
 COVER_FLOOR ?= 70.0
@@ -19,6 +20,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+## perfbench-build: vet and build the benchmark module (binary
+## discarded). It is a separate Go module, so the root `go build ./...`
+## never compiles it; a public API change would otherwise break the
+## benchmark silently.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

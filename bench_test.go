@@ -345,7 +345,7 @@ func BenchmarkParallelSmoothScan(b *testing.B) {
 				if err := db.ResetStats(); err != nil {
 					b.Fatal(err)
 				}
-				rows, err := db.Scan("t", "val", 0, domain, ScanOptions{Parallelism: p})
+				rows, err := db.Query("t").Where("val", Between(0, domain)).WithOptions(ScanOptions{Parallelism: p}).Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -660,7 +660,7 @@ func BenchmarkPublicAPIScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.ColdCache()
-		rows, err := db.Scan("t", "val", 100, 200, ScanOptions{})
+		rows, err := db.Query("t").Where("val", Between(100, 200)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1723,7 +1723,8 @@ func benchParallel(db *smoothscan.DB, rows, domain int64, jsonOut string) error 
 				return err
 			}
 			start := time.Now()
-			rs, err := db.Scan("t", "val", 0, domain, smoothscan.ScanOptions{Parallelism: p})
+			rs, err := db.Query("t").Where("val", smoothscan.Between(0, domain)).
+				WithOptions(smoothscan.ScanOptions{Parallelism: p}).Run(context.Background())
 			if err != nil {
 				return err
 			}

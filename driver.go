@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"smoothscan/internal/qspec"
 	"smoothscan/internal/tuple"
 )
 
@@ -31,11 +32,11 @@ type ShardDriver interface {
 	describe() string
 	// address is the shard's network address; "" for in-process shards.
 	address() string
-	// run executes q — a per-shard query built against the shard's
-	// planning DB — and opens its cursor.
-	run(ctx context.Context, q *Query) (shardCursor, error)
+	// run executes q — the shard's slice of the query — and opens
+	// its cursor.
+	run(ctx context.Context, q *qspec.Spec) (shardCursor, error)
 	// prepare compiles q into a per-shard prepared statement.
-	prepare(q *Query) (shardStmt, error)
+	prepare(q *qspec.Spec) (shardStmt, error)
 	// close releases the driver's resources (remote: its connections).
 	close() error
 }
@@ -85,16 +86,16 @@ type localDriver struct {
 func (d *localDriver) describe() string { return "in-process" }
 func (d *localDriver) address() string  { return "" }
 
-func (d *localDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
-	rows, err := q.Run(ctx)
+func (d *localDriver) run(ctx context.Context, q *qspec.Spec) (shardCursor, error) {
+	rows, err := d.db.run(ctx, q)
 	if err != nil {
 		return nil, err
 	}
 	return &localCursor{rows: rows}, nil
 }
 
-func (d *localDriver) prepare(q *Query) (shardStmt, error) {
-	st, err := d.db.Prepare(q)
+func (d *localDriver) prepare(q *qspec.Spec) (shardStmt, error) {
+	st, err := d.db.prepare(q)
 	if err != nil {
 		return nil, err
 	}

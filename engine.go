@@ -3,6 +3,8 @@ package smoothscan
 import (
 	"context"
 	"fmt"
+
+	"smoothscan/internal/qspec"
 )
 
 // Engine is the execution-surface every smoothscan backend exposes: a
@@ -39,9 +41,9 @@ type Engine interface {
 }
 
 // Builder is the composable query surface shared by every Engine. The
-// methods mirror Query/ShardedQuery/ssclient.Query exactly; each call
-// mutates the underlying builder and returns the same Builder for
-// chaining.
+// methods are Query/ShardedQuery/ssclient.Query's own (one shared
+// implementation); each call mutates the builder and returns the same
+// Builder for chaining.
 type Builder interface {
 	Where(col string, p Pred) Builder
 	Join(table, leftCol, rightCol string) Builder
@@ -87,53 +89,37 @@ var (
 	_ Engine = (*ShardedDB)(nil)
 )
 
-// queryBuilder adapts *Query to Builder.
-type queryBuilder struct{ q *Query }
+// engineBuilder is the Builder every in-process Engine hands out: the
+// shared qspec builder, typed to chain as a Builder, plus the engine
+// that runs and prepares it.
+type engineBuilder struct {
+	qspec.Builder[Builder]
+	owner Engine
+	run   func(ctx context.Context, q *qspec.Spec) (Cursor, error)
+}
 
-func (b queryBuilder) Where(col string, p Pred) Builder { b.q.Where(col, p); return b }
-func (b queryBuilder) Join(table, leftCol, rightCol string) Builder {
-	b.q.Join(table, leftCol, rightCol)
+func newEngineBuilder(owner Engine, table string, run func(context.Context, *qspec.Spec) (Cursor, error)) *engineBuilder {
+	b := &engineBuilder{owner: owner, run: run}
+	b.Builder = qspec.NewBuilder[Builder](b, table)
 	return b
 }
-func (b queryBuilder) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) Builder {
-	b.q.JoinWithOptions(table, leftCol, rightCol, opts)
-	return b
+
+func (b *engineBuilder) Run(ctx context.Context) (Cursor, error) {
+	return b.run(ctx, qspec.Of(&b.Builder))
 }
-func (b queryBuilder) Select(cols ...string) Builder           { b.q.Select(cols...); return b }
-func (b queryBuilder) GroupBy(col string, aggs ...Agg) Builder { b.q.GroupBy(col, aggs...); return b }
-func (b queryBuilder) OrderBy(col string) Builder              { b.q.OrderBy(col); return b }
-func (b queryBuilder) Limit(n any) Builder                     { b.q.Limit(n); return b }
-func (b queryBuilder) WithOptions(opts ScanOptions) Builder    { b.q.WithOptions(opts); return b }
-func (b queryBuilder) Run(ctx context.Context) (Cursor, error) {
-	r, err := b.q.Run(ctx)
-	if err != nil {
-		return nil, err
+
+// specFrom returns the spec of a builder this engine's Table made.
+func specFrom(owner Engine, b Builder) (*qspec.Spec, error) {
+	eb, ok := b.(*engineBuilder)
+	if !ok || eb.owner != owner {
+		return nil, fmt.Errorf("smoothscan: PrepareQuery: builder %T was not created by this engine's Table", b)
 	}
-	return r, nil
+	return qspec.Of(&eb.Builder), nil
 }
 
-// shardedBuilder adapts *ShardedQuery to Builder.
-type shardedBuilder struct{ sq *ShardedQuery }
-
-func (b shardedBuilder) Where(col string, p Pred) Builder { b.sq.Where(col, p); return b }
-func (b shardedBuilder) Join(table, leftCol, rightCol string) Builder {
-	b.sq.Join(table, leftCol, rightCol)
-	return b
-}
-func (b shardedBuilder) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) Builder {
-	b.sq.JoinWithOptions(table, leftCol, rightCol, opts)
-	return b
-}
-func (b shardedBuilder) Select(cols ...string) Builder { b.sq.Select(cols...); return b }
-func (b shardedBuilder) GroupBy(col string, aggs ...Agg) Builder {
-	b.sq.GroupBy(col, aggs...)
-	return b
-}
-func (b shardedBuilder) OrderBy(col string) Builder           { b.sq.OrderBy(col); return b }
-func (b shardedBuilder) Limit(n any) Builder                  { b.sq.Limit(n); return b }
-func (b shardedBuilder) WithOptions(opts ScanOptions) Builder { b.sq.WithOptions(opts); return b }
-func (b shardedBuilder) Run(ctx context.Context) (Cursor, error) {
-	r, err := b.sq.Run(ctx)
+// cursor widens a concrete result stream to Cursor, keeping a failed
+// run's Cursor a true nil interface.
+func cursor[R Cursor](r R, err error) (Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -145,11 +131,7 @@ type stmtPrepared struct{ st *Stmt }
 
 func (p stmtPrepared) Params() []string { return p.st.Params() }
 func (p stmtPrepared) Run(ctx context.Context, b Bind) (Cursor, error) {
-	r, err := p.st.Run(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return cursor(p.st.Run(ctx, b))
 }
 func (p stmtPrepared) Close() error { return p.st.Close() }
 
@@ -158,25 +140,25 @@ type shardedPrepared struct{ st *ShardedStmt }
 
 func (p shardedPrepared) Params() []string { return p.st.Params() }
 func (p shardedPrepared) Run(ctx context.Context, b Bind) (Cursor, error) {
-	r, err := p.st.Run(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return cursor(p.st.Run(ctx, b))
 }
 func (p shardedPrepared) Close() error { return p.st.Close() }
 
 // Table implements Engine.
-func (db *DB) Table(name string) Builder { return queryBuilder{q: db.Query(name)} }
+func (db *DB) Table(name string) Builder {
+	return newEngineBuilder(db, name, func(ctx context.Context, q *qspec.Spec) (Cursor, error) {
+		return cursor(db.run(ctx, q))
+	})
+}
 
 // PrepareQuery implements Engine; the Builder must come from this
 // DB's Table.
 func (db *DB) PrepareQuery(b Builder) (PreparedQuery, error) {
-	qb, ok := b.(queryBuilder)
-	if !ok || qb.q.db != db {
-		return nil, errForeignBuilder(b)
+	q, err := specFrom(db, b)
+	if err != nil {
+		return nil, err
 	}
-	st, err := db.Prepare(qb.q)
+	st, err := db.prepare(q)
 	if err != nil {
 		return nil, err
 	}
@@ -189,22 +171,22 @@ func (db *DB) PrepareQuery(b Builder) (PreparedQuery, error) {
 func (db *DB) Close() error { return nil }
 
 // Table implements Engine.
-func (s *ShardedDB) Table(name string) Builder { return shardedBuilder{sq: s.Query(name)} }
+func (s *ShardedDB) Table(name string) Builder {
+	return newEngineBuilder(s, name, func(ctx context.Context, q *qspec.Spec) (Cursor, error) {
+		return cursor(s.run(ctx, q))
+	})
+}
 
 // PrepareQuery implements Engine; the Builder must come from this
 // ShardedDB's Table.
 func (s *ShardedDB) PrepareQuery(b Builder) (PreparedQuery, error) {
-	sb, ok := b.(shardedBuilder)
-	if !ok || sb.sq.s != s {
-		return nil, errForeignBuilder(b)
+	q, err := specFrom(s, b)
+	if err != nil {
+		return nil, err
 	}
-	st, err := s.Prepare(sb.sq)
+	st, err := s.prepare(q)
 	if err != nil {
 		return nil, err
 	}
 	return shardedPrepared{st: st}, nil
-}
-
-func errForeignBuilder(b Builder) error {
-	return fmt.Errorf("smoothscan: PrepareQuery: builder %T was not created by this engine's Table", b)
 }

@@ -28,7 +28,7 @@ func faultyRows(t *testing.T, policy *FaultPolicy, onSpace func(db *DB) *FaultPo
 		policy = onSpace(db)
 	}
 	db.SetFaultPolicy(policy)
-	rows, err := db.Scan("t", "val", lo, hi, opts)
+	rows, err := db.Query("t").Where("val", Between(lo, hi)).WithOptions(opts).Run(context.Background())
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
@@ -141,7 +141,7 @@ func TestFaultDeadIndexDegradesToFullScan(t *testing.T) {
 			db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
 				Space: idx, Kind: FaultPermanent, Rate: 1,
 			}))
-			rows, err := db.Scan("t", "val", lo, hi, opts)
+			rows, err := db.Query("t").Where("val", Between(lo, hi)).WithOptions(opts).Run(context.Background())
 			if err != nil {
 				t.Fatalf("degradation did not rescue the query: %v", err)
 			}
@@ -189,7 +189,7 @@ func TestFaultParallelDegradesThroughSerial(t *testing.T) {
 	db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
 		Space: idx, Kind: FaultPermanent, Rate: 1,
 	}))
-	rows, err := db.Scan("t", "val", lo, hi, opts)
+	rows, err := db.Query("t").Where("val", Between(lo, hi)).WithOptions(opts).Run(context.Background())
 	if err != nil {
 		t.Fatalf("degradation did not rescue the query: %v", err)
 	}
@@ -280,9 +280,9 @@ func TestFaultUnrecoverableSurfacesTypedError(t *testing.T) {
 			db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
 				Space: sp, Kind: FaultPermanent, Rate: 1,
 			}))
-			rows, err := db.Scan("t", "val", 1_000, 2_500, ScanOptions{
+			rows, err := db.Query("t").Where("val", Between(1_000, 2_500)).WithOptions(ScanOptions{
 				Path: PathSmooth, Parallelism: par,
-			})
+			}).Run(context.Background())
 			if err != nil {
 				// The whole heap is dead; failing at open is as valid
 				// as failing at first Next — but it must be typed.
@@ -327,7 +327,7 @@ func TestFaultUnrecoverableCorruption(t *testing.T) {
 	db.SetFaultPolicy(NewFaultPolicy(5, FaultRule{
 		Space: sp, Kind: FaultCorrupt, Rate: 1,
 	}))
-	rows, err := db.Scan("t", "val", 1_000, 2_500, ScanOptions{Path: PathSmooth})
+	rows, err := db.Query("t").Where("val", Between(1_000, 2_500)).WithOptions(ScanOptions{Path: PathSmooth}).Run(context.Background())
 	if err != nil {
 		if !errors.Is(err, ErrPageCorrupt) {
 			t.Fatalf("open error %v, want ErrPageCorrupt", err)
@@ -460,7 +460,7 @@ func TestFaultLatencyCostsMoreNotWrong(t *testing.T) {
 // subsystem existed (the golden-diffed harness depends on it).
 func TestFaultFreeQueriesUntouched(t *testing.T) {
 	db := buildParallelTestDB(t, 20_000, 5_000, 11)
-	rows, err := db.Scan("t", "val", 1_000, 2_500, ScanOptions{Path: PathSmooth})
+	rows, err := db.Query("t").Where("val", Between(1_000, 2_500)).WithOptions(ScanOptions{Path: PathSmooth}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

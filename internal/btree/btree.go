@@ -55,8 +55,7 @@ type Tree struct {
 
 	// delta holds incrementally inserted entries not yet compacted
 	// into the on-disk run (see delta.go).
-	delta       []Entry
-	deltaSorted bool
+	delta []Entry
 }
 
 // leafCapacity returns entries per leaf page for a page size.
@@ -69,12 +68,11 @@ func internalCapacity(pageSize int) int { return (pageSize - headerSize - 8) / i
 // irrelevant — entries are sorted by (key, TID) internally).
 func Build(dev *disk.Device, entries []Entry) (*Tree, error) {
 	t := &Tree{
-		dev:         dev,
-		space:       dev.CreateSpace(),
-		leafCap:     leafCapacity(dev.PageSize()),
-		internCap:   internalCapacity(dev.PageSize()),
-		numKeys:     int64(len(entries)),
-		deltaSorted: true,
+		dev:       dev,
+		space:     dev.CreateSpace(),
+		leafCap:   leafCapacity(dev.PageSize()),
+		internCap: internalCapacity(dev.PageSize()),
+		numKeys:   int64(len(entries)),
 	}
 	if t.leafCap < 2 || t.internCap < 2 {
 		return nil, fmt.Errorf("btree: page size %d too small", dev.PageSize())

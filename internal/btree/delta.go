@@ -20,12 +20,15 @@ import (
 // Queries therefore keep both correctness (all entries visible) and the
 // cost profile the experiments measure (delta probes are CPU-only).
 
-// Insert adds an entry to the in-memory delta. It keeps the delta
-// sorted by (key, TID); cost is amortised by inserting in batches via
-// sort at the first read after a run of inserts.
+// Insert adds an entry to the in-memory delta, keeping it sorted by
+// (key, TID) with a binary-search insert. Sorting here, under the
+// writer's exclusive access, is what lets any number of concurrent
+// readers seek into the delta without writing it.
 func (t *Tree) Insert(e Entry) {
-	t.delta = append(t.delta, e)
-	t.deltaSorted = t.deltaSorted && (len(t.delta) < 2 || less(t.delta[len(t.delta)-2], e))
+	i := sort.Search(len(t.delta), func(i int) bool { return less(e, t.delta[i]) })
+	t.delta = append(t.delta, Entry{})
+	copy(t.delta[i+1:], t.delta[i:])
+	t.delta[i] = e
 	t.numKeys++
 }
 
@@ -39,19 +42,10 @@ func less(a, b Entry) bool {
 	return a.TID.Less(b.TID)
 }
 
-func (t *Tree) sortDelta() {
-	if t.deltaSorted {
-		return
-	}
-	sort.Slice(t.delta, func(i, j int) bool { return less(t.delta[i], t.delta[j]) })
-	t.deltaSorted = true
-}
-
 // Compact merges the delta into a freshly bulk-loaded on-disk run,
 // restoring contiguous leaves. The old pages are abandoned (the
 // simulated device is append-only; a real system would reclaim them).
 func (t *Tree) Compact(dev *disk.Device, pool *bufferpool.Pool) error {
-	t.sortDelta()
 	entries := make([]Entry, 0, t.numKeys)
 	// Read the existing run directly from the device (compaction is a
 	// maintenance operation, like the original bulk load).
@@ -90,7 +84,6 @@ func (t *Tree) deltaSeek(lo int64) *deltaCursor {
 	if len(t.delta) == 0 {
 		return nil
 	}
-	t.sortDelta()
 	pos := sort.Search(len(t.delta), func(i int) bool { return t.delta[i].Key >= lo })
 	return &deltaCursor{entries: t.delta, pos: pos}
 }

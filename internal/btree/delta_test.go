@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -209,6 +210,61 @@ func TestUnsortedInsertBatch(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if !less(got[i-1], got[i]) {
 			t.Fatalf("order violation at %d", i)
+		}
+	}
+}
+
+// TestConcurrentSeekAfterInsert opens iterators from several goroutines
+// at once after a run of out-of-order inserts: the delta is already
+// sorted when the readers arrive, so reads never write shared state.
+// It only proves anything under the race detector.
+func TestConcurrentSeekAfterInsert(t *testing.T) {
+	dev := testDevice()
+	tr := buildTree(t, dev, seqEntries(100))
+	pool := bufferpool.New(dev, 64)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 50; i++ {
+		tr.Insert(Entry{Key: rng.Int63n(200), TID: heap.TID{Page: int64(100 + i), Slot: 0}})
+	}
+	const readers = 4
+	counts := make(chan int, readers)
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			it, err := tr.SeekGE(pool, -1)
+			if err != nil {
+				errs <- err
+				return
+			}
+			n := 0
+			var prev Entry
+			for {
+				e, ok, err := it.Next()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !ok {
+					break
+				}
+				if n > 0 && !less(prev, e) {
+					errs <- fmt.Errorf("order violation at %d: %v then %v", n, prev, e)
+					return
+				}
+				prev = e
+				n++
+			}
+			counts <- n
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		case n := <-counts:
+			if n != 150 {
+				t.Errorf("reader saw %d entries, want 150", n)
+			}
 		}
 	}
 }

@@ -64,6 +64,13 @@ type state struct {
 	table    map[key]int // key -> frame index
 	hand     int
 	stats    Stats
+	// loading marks the single-page reads in flight; loaded is
+	// broadcast when one finishes. A view missing a page another view
+	// is reading waits for that read instead of issuing its own, so
+	// concurrent scans charge each shared page once, whatever the
+	// schedule.
+	loading map[key]bool
+	loaded  sync.Cond
 }
 
 // Pool is a view of a fixed-capacity page cache: the cache itself is
@@ -85,15 +92,15 @@ func New(dev *disk.Device, capacity int) *Pool {
 		// facade's Open rejects PoolPages < 1 before reaching here).
 		panic(fmt.Sprintf("bufferpool: capacity %d", capacity))
 	}
-	return &Pool{
-		st: &state{
-			dev:      dev,
-			capacity: capacity,
-			frames:   make([]frame, capacity),
-			table:    make(map[key]int, capacity),
-		},
-		ch: dev.DefaultChannel(),
+	st := &state{
+		dev:      dev,
+		capacity: capacity,
+		frames:   make([]frame, capacity),
+		table:    make(map[key]int, capacity),
+		loading:  make(map[key]bool),
 	}
+	st.loaded.L = &st.mu
+	return &Pool{st: st, ch: dev.DefaultChannel()}
 }
 
 // View returns a new handle over the same shared cache whose device
@@ -146,30 +153,42 @@ func (p *Pool) Contains(space disk.SpaceID, pageNo int64) bool {
 // returned slice is read-only.
 //
 // The pool mutex is released during the device read so concurrent
-// views overlap their page fetches; two views missing the same page
-// may both read it (a benign duplicate charge — insert tolerates the
-// race), and a single-threaded caller sees exactly the classic probe,
-// read, insert sequence.
+// views overlap their page fetches. A view missing a page that another
+// view is reading waits for that read and then probes again, so the
+// device sees one read per page however the views interleave (if the
+// read failed, the waiter reads the page itself). A single-threaded
+// caller sees exactly the classic probe, read, insert sequence.
 func (p *Pool) Get(space disk.SpaceID, pageNo int64) ([]byte, error) {
 	st := p.st
 	k := key{space, pageNo}
 	st.mu.Lock()
-	if idx, ok := st.table[k]; ok {
-		st.stats.Hits++
-		st.frames[idx].ref = true
-		data := st.frames[idx].data
-		st.mu.Unlock()
-		return data, nil
+	for {
+		if idx, ok := st.table[k]; ok {
+			st.stats.Hits++
+			st.frames[idx].ref = true
+			data := st.frames[idx].data
+			st.mu.Unlock()
+			return data, nil
+		}
+		if !st.loading[k] {
+			break
+		}
+		st.loaded.Wait()
 	}
 	st.stats.Misses++
+	st.loading[k] = true
 	st.mu.Unlock()
 	data, err := p.readPage(space, pageNo)
+	st.mu.Lock()
+	delete(st.loading, k)
+	if err == nil {
+		st.insert(k, data)
+	}
+	st.loaded.Broadcast()
+	st.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	st.insert(k, data)
-	st.mu.Unlock()
 	return data, nil
 }
 

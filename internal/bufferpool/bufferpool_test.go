@@ -2,6 +2,8 @@ package bufferpool
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +45,47 @@ func TestGetCachesPages(t *testing.T) {
 	}
 	if !p.Contains(sp, 1) || p.Contains(sp, 0) {
 		t.Error("Contains wrong")
+	}
+}
+
+// TestConcurrentGetReadsEachPageOnce has several views fault the same
+// pages in at once: a view that misses a page another view is reading
+// waits for it, so the device reads every page exactly once and the
+// counters do not depend on the schedule.
+func TestConcurrentGetReadsEachPageOnce(t *testing.T) {
+	const pages, views = 200, 4
+	d, sp := newDev(t, pages)
+	p := New(d, pages)
+	var wg sync.WaitGroup
+	errs := make([]error, views)
+	for v := 0; v < views; v++ {
+		wg.Add(1)
+		go func(v int, view *Pool) {
+			defer wg.Done()
+			for i := int64(0); i < pages; i++ {
+				data, err := view.Get(sp, i)
+				if err != nil {
+					errs[v] = err
+					return
+				}
+				if data[0] != byte(i) {
+					errs[v] = fmt.Errorf("page %d has content %d", i, data[0])
+					return
+				}
+			}
+		}(v, p.View())
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ds := d.Stats(); ds.PagesRead != pages || ds.Requests != pages {
+		t.Errorf("device read %d pages in %d requests, want %d and %d", ds.PagesRead, ds.Requests, pages, pages)
+	}
+	if s := p.Stats(); s.Misses != pages || s.Hits != (views-1)*pages {
+		t.Errorf("stats = %+v, want %d misses and %d hits", s, pages, (views-1)*pages)
 	}
 }
 

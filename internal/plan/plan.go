@@ -6,7 +6,7 @@
 // subsystem with its fan-in or ordered merge).
 //
 // Every workload in the repository goes through this one constructor:
-// the public Query builder and DB.Scan facade, the TPC-H query plans,
+// the public Query builders (local and sharded), the TPC-H query plans,
 // and the concurrency harness. The optimizer (internal/optimizer)
 // decides *which* spec to build; this package owns *how* a spec
 // becomes operators, so access-path construction has exactly one home.

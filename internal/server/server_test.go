@@ -10,6 +10,7 @@ import (
 	"smoothscan"
 	"smoothscan/internal/loadgen"
 	"smoothscan/internal/server"
+	"smoothscan/internal/wire"
 	"smoothscan/ssclient"
 )
 
@@ -378,6 +379,24 @@ func TestBadRequests(t *testing.T) {
 	}
 	if _, err := s.Run(context.Background(), smoothscan.Bind{"lo": 1}); err == nil {
 		t.Fatal("run with unbound parameter succeeded")
+	}
+
+	// Specs from outside the program with out-of-range predicate or
+	// aggregate kind bytes: a classified bad-request reject, for both
+	// the ad-hoc and the prepare path.
+	badPred := wire.QuerySpec{Table: loadgen.Table, Preds: []wire.PredSpec{
+		{Col: loadgen.IndexedCol, Kind: 99, A: wire.ArgSpec{Lit: 1}}}}
+	badAgg := wire.QuerySpec{Table: loadgen.Table, HasAgg: true, GroupCol: loadgen.IndexedCol,
+		Aggs: []wire.AggSpec{{Kind: 99, Col: loadgen.IndexedCol, As: "x"}}}
+	for name, spec := range map[string]wire.QuerySpec{"pred kind": badPred, "agg kind": badAgg} {
+		_, err := c.RunSpec(context.Background(), spec)
+		if !errors.As(err, &re) || re.Class != wire.ClassBadRequest {
+			t.Errorf("query with bad %s: %v, want a bad-request RemoteError", name, err)
+		}
+		_, err = c.PrepareSpec(spec)
+		if !errors.As(err, &re) || re.Class != wire.ClassBadRequest {
+			t.Errorf("prepare with bad %s: %v, want a bad-request RemoteError", name, err)
+		}
 	}
 
 	// The session survived all of it.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"smoothscan"
+	"smoothscan/internal/qspec"
 	"smoothscan/internal/wire"
 )
 
@@ -266,7 +267,7 @@ func (ss *session) handle(fr frame) bool {
 }
 
 func (ss *session) handlePrepare(spec *wire.QuerySpec) bool {
-	stmt, err := ss.srv.db.Prepare(buildQuery(ss.srv.db, spec))
+	stmt, err := ss.srv.db.Prepare(query(ss.srv.db, spec))
 	if err != nil {
 		return ss.fail(err)
 	}
@@ -323,8 +324,20 @@ func (ss *session) handleQuery(spec *wire.QuerySpec) bool {
 		return ss.sendErr(wire.ClassBadRequest, "a cursor is already open on this session")
 	}
 	return ss.openCursor(func(ctx context.Context) (*smoothscan.Rows, error) {
-		return buildQuery(ss.srv.db, spec).Run(ctx)
+		return query(ss.srv.db, spec).Run(ctx)
 	})
+}
+
+// query decodes a wire spec into the engine's builder. Semantic
+// validation (unknown tables, columns, ambiguous conjuncts) stays with
+// the builder's compile step — the one place that owns it; a spec
+// carrying an out-of-range kind byte decodes to a builder error, so it
+// surfaces through the same classified-error path as every other bad
+// query.
+func query(db *smoothscan.DB, spec *wire.QuerySpec) *smoothscan.Query {
+	q := db.Query(spec.Table)
+	*qspec.Of(&q.Builder) = qspec.FromWire(spec)
+	return q
 }
 
 // openCursor admits the query, runs it, and opens the session's

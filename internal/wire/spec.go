@@ -4,9 +4,10 @@ package wire
 // shape the smoothscan.Query builder composes — driving table, joins,
 // conjunctive predicates, projection, grouping, ordering, limit, scan
 // options — with every argument either an inline literal or a named
-// parameter placeholder. The server rebuilds the in-process builder
-// chain from it; all semantic validation (unknown tables and columns,
-// ambiguous conjuncts) happens there, in the one place that owns it.
+// parameter placeholder. internal/qspec converts it to and from the
+// builder's spec; all semantic validation (unknown tables and columns,
+// ambiguous conjuncts) happens when the server compiles that spec, in
+// the one place that owns it.
 
 // Decode caps: a spec announcing more elements than these is malformed.
 // They are far above anything the builder API can express usefully and

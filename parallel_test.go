@@ -1,6 +1,7 @@
 package smoothscan
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -39,7 +40,7 @@ func buildParallelTestDB(t testing.TB, numRows, domain int64, seed int64) *DB {
 // collect drains a scan into materialised rows.
 func collectScan(t testing.TB, db *DB, opts ScanOptions, lo, hi int64) [][]int64 {
 	t.Helper()
-	rows, err := db.Scan("t", "val", lo, hi, opts)
+	rows, err := db.Query("t").Where("val", Between(lo, hi)).WithOptions(opts).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 // heap page exactly once.
 func TestParallelSmoothStatsAggregate(t *testing.T) {
 	db := buildParallelTestDB(t, 20_000, 1000, 3)
-	rows, err := db.Scan("t", "val", 0, 1000, ScanOptions{Parallelism: 4})
+	rows, err := db.Query("t").Where("val", Between(0, 1000)).WithOptions(ScanOptions{Parallelism: 4}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestConcurrentSessions(t *testing.T) {
 				opts.Ordered = true
 			}
 			for iter := 0; iter < 3; iter++ {
-				rows, err := db.Scan("t", "val", 100, 900, opts)
+				rows, err := db.Query("t").Where("val", Between(100, 900)).WithOptions(opts).Run(context.Background())
 				if err != nil {
 					errCh <- err
 					return
@@ -252,7 +253,7 @@ func TestConcurrentSessions(t *testing.T) {
 // scans are open and allowed again after the last Close.
 func TestColdCacheGuard(t *testing.T) {
 	db := buildParallelTestDB(t, 5_000, 1000, 1)
-	rows, err := db.Scan("t", "val", 0, 1000, ScanOptions{})
+	rows, err := db.Query("t").Where("val", Between(0, 1000)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"smoothscan/internal/exec"
 	"smoothscan/internal/optimizer"
 	"smoothscan/internal/plan"
+	"smoothscan/internal/qspec"
 	"smoothscan/internal/tuple"
 )
 
@@ -21,134 +22,63 @@ import (
 // kind); parameters get their value at execution time from a Bind set,
 // which is what lets one prepared Stmt run many times with different
 // constants.
-type Arg struct {
-	param string
-	lit   int64
-	err   error
-}
+type Arg = qspec.Arg
+
+// Pred is a predicate on one integer column: a comparison whose
+// argument(s) fold into a half-open value range [lo, hi) when the
+// query is compiled (for parameters, when the Stmt binds them).
+// Predicates are combined conjunctively by Where; several predicates
+// on the same column intersect into one range.
+//
+// Because ranges are half-open over int64, a predicate can never match
+// the value math.MaxInt64 itself; the engine's data generators and
+// workloads never store it.
+type Pred = qspec.Pred
+
+// Agg is an aggregate expression for GroupBy. Build one with Sum,
+// Count, Min or Max, and rename its output column with As.
+type Agg = qspec.Agg
 
 // Param is a named placeholder usable anywhere a literal goes: in the
 // Where predicate constructors (Between, Eq, Lt, Le, Gt, Ge) and in
 // Limit. A query containing parameters must be compiled with
 // DB.Prepare; running it directly returns ErrUnboundParam. Names
 // consist of letters, digits and underscores.
-func Param(name string) Arg {
-	if name == "" {
-		return Arg{err: fmt.Errorf("smoothscan: empty parameter name")}
-	}
-	for _, r := range name {
-		if !(r == '_' || r >= '0' && r <= '9' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z') {
-			return Arg{err: fmt.Errorf("smoothscan: parameter name %q: only letters, digits and underscores are allowed", name)}
-		}
-	}
-	return Arg{param: name}
-}
-
-// asArg converts a constructor argument: an Arg passes through, any
-// integer kind becomes a literal, everything else is ErrArgType.
-func asArg(v any) Arg {
-	switch x := v.(type) {
-	case Arg:
-		return x
-	case int:
-		return Arg{lit: int64(x)}
-	case int64:
-		return Arg{lit: x}
-	case int32:
-		return Arg{lit: int64(x)}
-	case int16:
-		return Arg{lit: int64(x)}
-	case int8:
-		return Arg{lit: int64(x)}
-	case uint8:
-		return Arg{lit: int64(x)}
-	case uint16:
-		return Arg{lit: int64(x)}
-	case uint32:
-		return Arg{lit: int64(x)}
-	case uint:
-		if uint64(x) > math.MaxInt64 {
-			return Arg{err: fmt.Errorf("%w: %d overflows int64", ErrArgType, x)}
-		}
-		return Arg{lit: int64(x)}
-	case uint64:
-		if x > math.MaxInt64 {
-			return Arg{err: fmt.Errorf("%w: %d overflows int64", ErrArgType, x)}
-		}
-		return Arg{lit: int64(x)}
-	default:
-		return Arg{err: fmt.Errorf("%w: %T (want an integer or Param)", ErrArgType, v)}
-	}
-}
-
-// Pred is a predicate on one integer column: a comparison whose
-// argument(s) fold into a half-open value range [lo, hi) when the
-// query is compiled (for parameters, when the Stmt binds them).
-// Predicates are combined conjunctively by Query.Where; several
-// predicates on the same column intersect into one range.
-//
-// Because ranges are half-open over int64, a predicate can never match
-// the value math.MaxInt64 itself; the engine's data generators and
-// workloads never store it.
-type Pred struct {
-	kind plan.PredKind
-	a, b Arg
-	err  error
-}
-
-// pred assembles a Pred, recording the first bad argument.
-func pred(kind plan.PredKind, a, b Arg) Pred {
-	err := a.err
-	if err == nil {
-		err = b.err
-	}
-	return Pred{kind: kind, a: a, b: b, err: err}
-}
+func Param(name string) Arg { return qspec.Param(name) }
 
 // Between matches lo <= v < hi.
-func Between(lo, hi any) Pred { return pred(plan.KindBetween, asArg(lo), asArg(hi)) }
+func Between(lo, hi any) Pred { return qspec.Between(lo, hi) }
 
 // Eq matches v == x.
-func Eq(x any) Pred { return pred(plan.KindEq, asArg(x), Arg{}) }
+func Eq(x any) Pred { return qspec.Eq(x) }
 
 // Lt matches v < x.
-func Lt(x any) Pred { return pred(plan.KindLt, asArg(x), Arg{}) }
+func Lt(x any) Pred { return qspec.Lt(x) }
 
 // Le matches v <= x.
-func Le(x any) Pred { return pred(plan.KindLe, asArg(x), Arg{}) }
+func Le(x any) Pred { return qspec.Le(x) }
 
 // Gt matches v > x.
-func Gt(x any) Pred { return pred(plan.KindGt, asArg(x), Arg{}) }
+func Gt(x any) Pred { return qspec.Gt(x) }
 
 // Ge matches v >= x.
-func Ge(x any) Pred { return pred(plan.KindGe, asArg(x), Arg{}) }
-
-// Agg is an aggregate expression for Query.GroupBy. Build one with
-// Sum, Count, Min or Max, and rename its output column with As.
-type Agg struct {
-	name string
-	col  string
-	kind exec.AggKind
-}
+func Ge(x any) Pred { return qspec.Ge(x) }
 
 // Sum aggregates the sum of col per group; the output column is named
 // "sum_<col>".
-func Sum(col string) Agg { return Agg{name: "sum_" + col, col: col, kind: exec.AggSum} }
+func Sum(col string) Agg { return qspec.Sum(col) }
 
 // Count counts the rows of each group; the output column is named
 // "count".
-func Count() Agg { return Agg{name: "count", kind: exec.AggCount} }
+func Count() Agg { return qspec.Count() }
 
 // Min aggregates the minimum of col per group; the output column is
 // named "min_<col>".
-func Min(col string) Agg { return Agg{name: "min_" + col, col: col, kind: exec.AggMin} }
+func Min(col string) Agg { return qspec.Min(col) }
 
 // Max aggregates the maximum of col per group; the output column is
 // named "max_<col>".
-func Max(col string) Agg { return Agg{name: "max_" + col, col: col, kind: exec.AggMax} }
-
-// As renames the aggregate's output column.
-func (a Agg) As(name string) Agg { a.name = name; return a }
+func Max(col string) Agg { return qspec.Max(col) }
 
 // ErrUnknownColumn is returned (wrapped) when a query references a
 // column the table does not have.
@@ -161,53 +91,22 @@ var ErrNotSelected = errors.New("smoothscan: column not in query output")
 
 // ErrArgType is returned (wrapped) when a predicate constructor or
 // Limit receives an argument that is neither an integer nor a Param.
-var ErrArgType = errors.New("smoothscan: unsupported argument type")
-
-// cond is one Where clause before compilation.
-type cond struct {
-	col string
-	p   Pred
-}
-
-// joinClause is one Join call before compilation.
-type joinClause struct {
-	table    string
-	leftCol  string
-	rightCol string
-	opts     ScanOptions
-}
+var ErrArgType = qspec.ErrArgType
 
 // Query is a composable query under construction. Build one with
-// DB.Query, chain Where / Select / GroupBy / OrderBy / Limit /
+// DB.Query, chain Where / Join / Select / GroupBy / OrderBy / Limit /
 // WithOptions, then call Run to execute it or Explain to inspect the
 // plan the optimizer would choose. Builder methods record the first
-// error and make Run/Explain return it, so call sites can chain
-// without per-call checks.
+// error and make Run/Explain/Prepare return it, so call sites can
+// chain without per-call checks.
 //
 // A Query is a plain value owned by its builder chain; it is not safe
 // for concurrent use, but the Rows returned by Run is independent of
 // it. Compilation reads table statistics at Run/Explain time, so the
 // same Query re-run after Analyze may pick a different access path.
 type Query struct {
-	db       *DB
-	table    string
-	conds    []cond
-	joins    []joinClause
-	sel      []string
-	hasSel   bool
-	group    string
-	aggs     []Agg
-	hasAgg   bool
-	order    string
-	hasOrd   bool
-	limitArg Arg
-	hasLim   bool
-	opts     ScanOptions
-	// compat is set by the DB.Scan wrapper: it preserves the exact
-	// pre-builder Scan semantics (no empty-range short-circuit, and a
-	// missing index is an error rather than a full-scan fallback).
-	compat bool
-	err    error
+	qspec.Builder[*Query]
+	db *DB
 }
 
 // Query starts a composable query over the named table. The zero
@@ -215,132 +114,8 @@ type Query struct {
 // (Smooth Scan when the driving column has an index, full scan
 // otherwise).
 func (db *DB) Query(table string) *Query {
-	return &Query{db: db, table: table}
-}
-
-// fail records the first builder error.
-func (q *Query) fail(err error) *Query {
-	if q.err == nil {
-		q.err = err
-	}
-	return q
-}
-
-// Where adds a conjunctive predicate on a column. Multiple Where calls
-// compose with AND; several predicates on the same column intersect
-// into one range. The optimizer picks the most selective indexed
-// predicate to drive the scan; the remaining conjuncts become residual
-// predicates evaluated inside the page decode wherever the chosen
-// access path supports it.
-func (q *Query) Where(col string, p Pred) *Query {
-	if p.err != nil {
-		return q.fail(fmt.Errorf("Where(%q): %w", col, p.err))
-	}
-	q.conds = append(q.conds, cond{col: col, p: p})
-	return q
-}
-
-// Join adds an inner equi-join with another table:
-// left.leftCol = right.rightCol, where leftCol is a column of the
-// query's output so far (the driving table, or any previously joined
-// table) and rightCol is a column of the newly joined table. The
-// output schema is the left columns followed by the right table's
-// (colliding right column names get an "r." prefix).
-//
-// Where predicates may reference columns of any joined table — each
-// conjunct is pushed beneath the join into the access path of the one
-// table that has the column (ambiguous names are an error). Each
-// input's access path is planned independently from its own
-// predicates and ScanOptions — the adaptive Smooth Scan by default,
-// any forced path or the cost-based optimizer (PathAuto) via
-// JoinWithOptions — and the smaller estimated input lands on the hash
-// build side. The first join runs as a merge join instead when both
-// its base-table inputs already arrive ordered by their join columns
-// (index scans, or Ordered smooth/sort scans driven by the join
-// column); later stages of a chain always hash, since a join output's
-// ordering is not tracked. The joined table's scan uses default
-// ScanOptions; use JoinWithOptions to configure it.
-func (q *Query) Join(table, leftCol, rightCol string) *Query {
-	q.joins = append(q.joins, joinClause{table: table, leftCol: leftCol, rightCol: rightCol})
-	return q
-}
-
-// JoinWithOptions is Join with explicit ScanOptions for the joined
-// table's access path (the builder-level WithOptions only configures
-// the driving table).
-func (q *Query) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) *Query {
-	q.joins = append(q.joins, joinClause{table: table, leftCol: leftCol, rightCol: rightCol, opts: opts})
-	return q
-}
-
-// Select projects the output onto the named columns, in the given
-// order. Without Select every table column is returned. When GroupBy
-// is present, its group and aggregate columns are resolved against the
-// selected columns.
-func (q *Query) Select(cols ...string) *Query {
-	if q.hasSel {
-		return q.fail(fmt.Errorf("smoothscan: Select set twice"))
-	}
-	if len(cols) == 0 {
-		return q.fail(fmt.Errorf("smoothscan: Select requires at least one column"))
-	}
-	q.sel = append([]string(nil), cols...)
-	q.hasSel = true
-	return q
-}
-
-// GroupBy groups rows by a column and computes the aggregates per
-// group. The output schema is the group column followed by one column
-// per aggregate, ordered by ascending group key.
-func (q *Query) GroupBy(col string, aggs ...Agg) *Query {
-	if q.hasAgg {
-		return q.fail(fmt.Errorf("smoothscan: GroupBy set twice"))
-	}
-	if len(aggs) == 0 {
-		return q.fail(fmt.Errorf("smoothscan: GroupBy requires at least one aggregate"))
-	}
-	q.group = col
-	q.aggs = append([]Agg(nil), aggs...)
-	q.hasAgg = true
-	return q
-}
-
-// OrderBy orders the output by the named column, ascending. The
-// column must be part of the query output. When the order is already
-// delivered — by an order-preserving access path on the driving
-// column, or by GroupBy's key-ordered output — no sort operator is
-// added; otherwise a posterior (external) sort is.
-func (q *Query) OrderBy(col string) *Query {
-	if q.hasOrd {
-		return q.fail(fmt.Errorf("smoothscan: OrderBy set twice"))
-	}
-	q.order = col
-	q.hasOrd = true
-	return q
-}
-
-// Limit caps the number of output rows; it accepts an integer or a
-// Param placeholder. Limit(0) yields an empty result without touching
-// the device.
-func (q *Query) Limit(n any) *Query {
-	a := asArg(n)
-	if a.err != nil {
-		return q.fail(fmt.Errorf("Limit: %w", a.err))
-	}
-	if a.param == "" && a.lit < 0 {
-		return q.fail(fmt.Errorf("smoothscan: negative limit %d", a.lit))
-	}
-	q.limitArg = a
-	q.hasLim = true
-	return q
-}
-
-// WithOptions applies ScanOptions to the driving table access: access
-// path, morphing policy and trigger, parallelism, cardinality
-// estimate, SLA bound, Result Cache budget. The builder owns
-// everything above the scan, the options configure the scan itself.
-func (q *Query) WithOptions(opts ScanOptions) *Query {
-	q.opts = opts
+	q := &Query{db: db}
+	q.Builder = qspec.NewBuilder(q, table)
 	return q
 }
 
@@ -473,7 +248,7 @@ type compiledQuery struct {
 	// execution's entry key — canonical shape plus every resolved
 	// constant — and resEpochs the write epochs of the referenced
 	// tables captured at bind time; both empty when the execution does
-	// not participate (tier disabled, compat query, empty plan).
+	// not participate (tier disabled, empty plan).
 	// cacheServed marks an execution answered from the cache, rendered
 	// by Plan as "served from result cache".
 	resKey      string
@@ -508,18 +283,15 @@ func (cq *compiledQuery) estRoot() int64 {
 // — from the table's current statistics, with zero device I/O.
 // orderCol, when non-empty, names a column whose order the plan could
 // use for free if it happens to drive an order-preserving path (the
-// free-ORDER-BY case); compat preserves the historical DB.Scan
-// strictness.
-func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanOptions, orderCol string, compat bool) (*tableAccess, error) {
+// free-ORDER-BY case).
+func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanOptions, orderCol string) (*tableAccess, error) {
 	a := &tableAccess{tab: t, name: name, base: t.file.Schema()}
 	if opts.MaxRegionPages == 0 {
 		opts.MaxRegionPages = core.DefaultMaxRegionPages
 	}
-	if !compat {
-		for _, m := range merged {
-			if m.pred.Empty() {
-				a.emptyWhy = fmt.Sprintf("predicates on %q are contradictory", m.name)
-			}
+	for _, m := range merged {
+		if m.pred.Empty() {
+			a.emptyWhy = fmt.Sprintf("predicates on %q are contradictory", m.name)
 		}
 	}
 
@@ -533,21 +305,17 @@ func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanO
 	// (by the optimizer's cardinality estimate) drives the access path;
 	// everything else is residual.
 	drivingAt := -1
-	if compat {
-		drivingAt = 0 // exactly one predicate by construction
-	} else {
-		bestCard := int64(math.MaxInt64)
-		for i, m := range merged {
-			if _, ok := t.indexes[m.name]; !ok {
-				continue
-			}
-			if card := stats.EstimateCard(m.pred); card < bestCard {
-				bestCard, drivingAt = card, i
-			}
+	bestCard := int64(math.MaxInt64)
+	for i, m := range merged {
+		if _, ok := t.indexes[m.name]; !ok {
+			continue
 		}
-		if drivingAt < 0 && len(merged) > 0 {
-			drivingAt = 0 // no indexed conjunct: full scan driven by the first
+		if card := stats.EstimateCard(m.pred); card < bestCard {
+			bestCard, drivingAt = card, i
 		}
+	}
+	if drivingAt < 0 && len(merged) > 0 {
+		drivingAt = 0 // no indexed conjunct: full scan driven by the first
 	}
 	if drivingAt >= 0 {
 		a.driving = merged[drivingAt]
@@ -602,12 +370,12 @@ func bindAccess(db *DB, name string, t *table, merged []resolvedPred, opts ScanO
 	switch path {
 	case PathSmooth, PathIndex, PathSort, PathSwitch:
 		if !hasIndex {
-			if path == PathSmooth && !compat {
-				// The builder's default path is PathSmooth; without an
-				// index on the driving column it degrades gracefully to
-				// a full scan instead of failing, so predicate-less and
-				// unindexed queries still run. DB.Scan keeps the strict
-				// historical behaviour.
+			if path == PathSmooth {
+				// The default path is PathSmooth; without an index on
+				// the driving column it degrades gracefully to a full
+				// scan instead of failing, so predicate-less and
+				// unindexed queries still run. Explicitly forced index
+				// paths stay strict.
 				path = PathFull
 			} else {
 				return nil, fmt.Errorf("%w: %q.%q", ErrNoIndex, name, a.driving.name)
@@ -692,13 +460,12 @@ func estJoinRows(estL, estR, rightTableRows int64) int64 {
 
 // qtemplate is a query's compiled template: the structural
 // plan.Template plus the facade-level configuration that rides along
-// with the shape (per-input ScanOptions, DB.Scan compat). It is
-// immutable once built and shared freely — by the DB-wide plan cache,
-// and by every execution of a prepared Stmt.
+// with the shape (per-input ScanOptions). It is immutable once built
+// and shared freely — by the DB-wide plan cache, and by every
+// execution of a prepared Stmt.
 type qtemplate struct {
 	pt      *plan.Template
 	optsPer []ScanOptions
-	compat  bool
 	// key is the canonical shape the template was compiled from — the
 	// same string the plan cache indexes by. It distinguishes named
 	// parameters from literal slots, because the bind phase resolves
@@ -713,150 +480,21 @@ type qtemplate struct {
 	semKey string
 }
 
-// canonPred returns the predicate in canonical constant form: a
-// parameter-free predicate folds into its half-open Between range
-// right here, so Eq(5) and Between(5, 6) canonicalise to the same
-// shape and share one cached template; a parameterized predicate
-// keeps its comparison kind for bind-time folding.
-func canonPred(p Pred) (kind plan.PredKind, a, b Arg) {
-	if p.a.param == "" && (p.kind != plan.KindBetween || p.b.param == "") {
-		lo, hi := plan.FoldRange(p.kind, p.a.lit, p.b.lit)
-		return plan.KindBetween, Arg{lit: lo}, Arg{lit: hi}
-	}
-	return p.kind, p.a, p.b
-}
-
-// forEachArg visits every bind-time argument of the query in canonical
-// order: the Where conjuncts in call order (canonical form, lo then hi
-// for Between), then the Limit count. canonicalKey serialises
-// arguments in this order and buildTemplate assigns literal slots in
-// this order — the three walks must never diverge, or a cached
-// template would bind another query's literals to the wrong
-// predicates.
-func (q *Query) forEachArg(f func(a Arg)) {
-	for _, c := range q.conds {
-		kind, a, b := canonPred(c.p)
-		f(a)
-		if kind == plan.KindBetween {
-			f(b)
-		}
-	}
-	if q.hasLim {
-		f(q.limitArg)
-	}
-}
-
-// collectLits extracts the query's literal argument values, in slot
-// order.
-func (q *Query) collectLits() []int64 {
-	var lits []int64
-	q.forEachArg(func(a Arg) {
-		if a.param == "" {
-			lits = append(lits, a.lit)
-		}
-	})
-	return lits
-}
-
-// canonicalKey serialises the query's structure — tables, joins,
-// conjunct columns and comparison kinds, projection, grouping,
-// ordering, options — with every literal constant replaced by a
-// positional marker. Two queries with the same key compile to the
-// same template and differ only in the literal vector they bind, which
-// is exactly what makes the DB-wide plan cache safe. Named parameters
-// keep their names (the bind phase resolves them by name, not
-// position), so a prepared query and its literal twin get distinct
-// plan-cache keys.
-func (q *Query) canonicalKey() string { return q.structKey(false) }
-
-// semanticKey is canonicalKey with the parameter/literal distinction
-// erased: every constant renders as the same positional marker. Two
-// queries with the same semantic key and the same resolved constant
-// vector compute the same result, whichever mix of literals and
-// parameters expressed it — the property the result-cache tier keys
-// on.
-func (q *Query) semanticKey() string { return q.structKey(true) }
-
-func (q *Query) structKey(blind bool) string {
-	var sb strings.Builder
-	arg := func(a Arg) {
-		if a.param != "" && !blind {
-			sb.WriteByte('$')
-			sb.WriteString(a.param)
-		} else {
-			sb.WriteByte('?')
-		}
-	}
-	sb.WriteString("v1|")
-	if q.compat {
-		sb.WriteString("compat|")
-	}
-	fmt.Fprintf(&sb, "%q", q.table)
-	for _, j := range q.joins {
-		fmt.Fprintf(&sb, "|J:%q,%q,%q,%+v", j.table, j.leftCol, j.rightCol, j.opts)
-	}
-	for _, c := range q.conds {
-		kind, a, b := canonPred(c.p)
-		if blind {
-			// Every predicate folds to a half-open [lo, hi) range at
-			// bind time, so the semantic shape of any conjunct is a
-			// two-endpoint Between regardless of which comparison
-			// spelled it — Eq(x) and Between(x, x+1) must share.
-			fmt.Fprintf(&sb, "|W:%q,%d,?,?", c.col, int(plan.KindBetween))
-			continue
-		}
-		fmt.Fprintf(&sb, "|W:%q,%d,", c.col, int(kind))
-		arg(a)
-		if kind == plan.KindBetween {
-			sb.WriteByte(',')
-			arg(b)
-		}
-	}
-	if q.hasSel {
-		sb.WriteString("|S:")
-		for i, s := range q.sel {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%q", s)
-		}
-	}
-	if q.hasAgg {
-		fmt.Fprintf(&sb, "|G:%q", q.group)
-		for _, a := range q.aggs {
-			fmt.Fprintf(&sb, ",%q:%q:%d", a.name, a.col, int(a.kind))
-		}
-	}
-	if q.hasOrd {
-		fmt.Fprintf(&sb, "|O:%q", q.order)
-	}
-	if q.hasLim {
-		sb.WriteString("|L:")
-		arg(q.limitArg)
-	}
-	fmt.Fprintf(&sb, "|opts:%+v", q.opts)
-	return sb.String()
-}
-
 // buildTemplate runs the structural (prepare) phase: table and column
 // resolution, conjunct routing, join tree shape, projection / grouping
 // / ordering schemas — everything about the query that does not depend
 // on its constant values. The caller holds db.mu (read). The result is
 // immutable; bindTemplate turns it into an executable compiledQuery
 // per execution.
-func (q *Query) buildTemplate() (*qtemplate, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	db := q.db
+func (db *DB) buildTemplate(q *qspec.Spec) (*qtemplate, error) {
 	pt := &plan.Template{GroupIdx: -1, OrderIdx: -1}
 
 	// Resolve every input table.
-	names := []string{q.table}
-	optsPer := []ScanOptions{q.opts}
-	for _, j := range q.joins {
-		names = append(names, j.table)
-		optsPer = append(optsPer, j.opts)
+	names := []string{q.Table}
+	optsPer := []ScanOptions{q.Opts}
+	for _, j := range q.Joins {
+		names = append(names, j.Table)
+		optsPer = append(optsPer, j.Opts)
 	}
 	tabs := make([]*table, len(names))
 	for i, name := range names {
@@ -867,33 +505,10 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 		tabs[i] = t
 	}
 
-	// Assign bind-time Values in canonical argument order (see
-	// forEachArg): literals take positional slots, parameters are
-	// registered by name.
-	slots := 0
-	seen := map[string]bool{}
-	val := func(a Arg) plan.Value {
-		if a.param != "" {
-			if !seen[a.param] {
-				seen[a.param] = true
-				pt.Params = append(pt.Params, a.param)
-			}
-			return plan.Value{Param: a.param}
-		}
-		v := plan.Value{Slot: slots}
-		slots++
-		return v
-	}
-	condKinds := make([]plan.PredKind, len(q.conds))
-	condVals := make([][2]plan.Value, len(q.conds))
-	for ci, c := range q.conds {
-		kind, a, b := canonPred(c.p)
-		condKinds[ci] = kind
-		condVals[ci][0] = val(a)
-		if kind == plan.KindBetween {
-			condVals[ci][1] = val(b)
-		}
-	}
+	// Bind-time Values in canonical argument order: literals take
+	// positional slots, parameters are registered by name.
+	vals := q.Values()
+	pt.Params = vals.Params
 
 	// Distribute the Where conjuncts: each predicate is pushed beneath
 	// the joins into the one input whose schema has the column, and
@@ -905,59 +520,60 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 		pt.Inputs[i] = plan.AccessT{Table: names[i], Schema: tabs[i].file.Schema()}
 		byColPer[i] = map[string]int{}
 	}
-	for ci, c := range q.conds {
+	for ci, c := range q.Conds {
 		at := -1
 		for i, t := range tabs {
-			if t.file.Schema().ColIndex(c.col) < 0 {
+			if t.file.Schema().ColIndex(c.Col) < 0 {
 				continue
 			}
 			if at >= 0 {
-				return nil, fmt.Errorf("smoothscan: Where column %q is ambiguous between tables %q and %q", c.col, names[at], names[i])
+				return nil, fmt.Errorf("smoothscan: Where column %q is ambiguous between tables %q and %q", c.Col, names[at], names[i])
 			}
 			at = i
 		}
 		if at < 0 {
 			if len(names) == 1 {
-				return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, q.table, c.col)
+				return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, q.Table, c.Col)
 			}
-			return nil, fmt.Errorf("%w: no joined table has column %q", ErrUnknownColumn, c.col)
+			return nil, fmt.Errorf("%w: no joined table has column %q", ErrUnknownColumn, c.Col)
 		}
 		in := &pt.Inputs[at]
+		cv := vals.Conds[ci]
 		ct := plan.CondT{
-			Col:  in.Schema.ColIndex(c.col),
-			Name: c.col,
-			Kind: condKinds[ci],
-			A:    condVals[ci][0],
-			B:    condVals[ci][1],
+			Col:  in.Schema.ColIndex(c.Col),
+			Name: c.Col,
+			Kind: cv.Kind,
+			A:    cv.A,
+			B:    cv.B,
 		}
 		idx := len(in.Conds)
 		in.Conds = append(in.Conds, ct)
-		if g, ok := byColPer[at][c.col]; ok {
+		if g, ok := byColPer[at][c.Col]; ok {
 			in.Merged[g] = append(in.Merged[g], idx)
 		} else {
-			byColPer[at][c.col] = len(in.Merged)
+			byColPer[at][c.Col] = len(in.Merged)
 			in.Merged = append(in.Merged, []int{idx})
 		}
 	}
 
 	// Only the driving table of a join-free query can satisfy an ORDER
 	// BY through an order-preserving scan; joins and grouping reorder.
-	if len(q.joins) == 0 && q.hasOrd && !q.hasAgg {
-		pt.FreeOrderCol = q.order
+	if len(q.Joins) == 0 && q.HasOrd && !q.HasAgg {
+		pt.FreeOrderCol = q.Order
 	}
 
 	// Join stages: resolve the equi-join columns and precompute each
 	// stage's output schema. Algorithm and build side are bind-time.
 	base := pt.Inputs[0].Schema
-	for k, jc := range q.joins {
+	for k, jc := range q.Joins {
 		right := &pt.Inputs[k+1]
-		leftCol := base.ColIndex(jc.leftCol)
+		leftCol := base.ColIndex(jc.LeftCol)
 		if leftCol < 0 {
-			return nil, fmt.Errorf("%w: join %d: %q is not a column of the query output joined so far", ErrUnknownColumn, k+1, jc.leftCol)
+			return nil, fmt.Errorf("%w: join %d: %q is not a column of the query output joined so far", ErrUnknownColumn, k+1, jc.LeftCol)
 		}
-		rightCol := right.Schema.ColIndex(jc.rightCol)
+		rightCol := right.Schema.ColIndex(jc.RightCol)
 		if rightCol < 0 {
-			return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, right.Table, jc.rightCol)
+			return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, right.Table, jc.RightCol)
 		}
 		joined, err := joinOutputSchema(base, right.Schema)
 		if err != nil {
@@ -976,14 +592,14 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 
 	// SELECT list.
 	pt.SelSchema = pt.Base
-	if q.hasSel {
-		cols := make([]tuple.Column, len(q.sel))
-		pt.SelIdx = make([]int, len(q.sel))
-		for i, name := range q.sel {
+	if q.HasSel {
+		cols := make([]tuple.Column, len(q.Sel))
+		pt.SelIdx = make([]int, len(q.Sel))
+		for i, name := range q.Sel {
 			col := pt.Base.ColIndex(name)
 			if col < 0 {
 				if len(pt.Inputs) == 1 {
-					return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, q.table, name)
+					return nil, fmt.Errorf("%w: table %q has no column %q", ErrUnknownColumn, q.Table, name)
 				}
 				return nil, fmt.Errorf("%w: join output has no column %q", ErrUnknownColumn, name)
 			}
@@ -999,27 +615,28 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 
 	// GROUP BY + aggregates.
 	stage := pt.SelSchema
-	if q.hasAgg {
-		pt.GroupIdx = pt.SelSchema.ColIndex(q.group)
+	if q.HasAgg {
+		pt.GroupIdx = pt.SelSchema.ColIndex(q.Group)
 		if pt.GroupIdx < 0 {
-			return nil, templColErr(pt, q.group, "GroupBy")
+			return nil, templColErr(pt, q.Group, "GroupBy")
 		}
-		outNames := map[string]bool{q.group: true}
-		outCols := []tuple.Column{{Name: q.group, Type: tuple.Int64}}
-		for _, a := range q.aggs {
-			spec := exec.AggSpec{Name: a.name, Kind: a.kind}
-			if a.kind != exec.AggCount {
-				spec.Col = pt.SelSchema.ColIndex(a.col)
+		outNames := map[string]bool{q.Group: true}
+		outCols := []tuple.Column{{Name: q.Group, Type: tuple.Int64}}
+		for _, a := range q.Aggs {
+			name, col, kind := qspec.AggOf(a)
+			spec := exec.AggSpec{Name: name, Kind: kind}
+			if kind != exec.AggCount {
+				spec.Col = pt.SelSchema.ColIndex(col)
 				if spec.Col < 0 {
-					return nil, templColErr(pt, a.col, "aggregate")
+					return nil, templColErr(pt, col, "aggregate")
 				}
 			}
-			if outNames[a.name] {
-				return nil, fmt.Errorf("smoothscan: duplicate output column %q in GroupBy", a.name)
+			if outNames[name] {
+				return nil, fmt.Errorf("smoothscan: duplicate output column %q in GroupBy", name)
 			}
-			outNames[a.name] = true
+			outNames[name] = true
 			pt.AggSpecs = append(pt.AggSpecs, spec)
-			outCols = append(outCols, tuple.Column{Name: a.name, Type: tuple.Int64})
+			outCols = append(outCols, tuple.Column{Name: name, Type: tuple.Int64})
 		}
 		s, err := tuple.NewSchema(outCols...)
 		if err != nil {
@@ -1030,55 +647,53 @@ func (q *Query) buildTemplate() (*qtemplate, error) {
 	}
 
 	// ORDER BY resolution (sort-vs-free decisions are bind-time).
-	if q.hasOrd {
-		pt.OrderIdx = stage.ColIndex(q.order)
+	if q.HasOrd {
+		pt.OrderIdx = stage.ColIndex(q.Order)
 		if pt.OrderIdx < 0 {
-			return nil, fmt.Errorf("%w: %q is not in the query output; add it to Select or GroupBy", ErrUnknownColumn, q.order)
+			return nil, fmt.Errorf("%w: %q is not in the query output; add it to Select or GroupBy", ErrUnknownColumn, q.Order)
 		}
-		pt.OrderName = q.order
+		pt.OrderName = q.Order
 	}
 
-	pt.HasLim = q.hasLim
-	if q.hasLim {
-		pt.Limit = val(q.limitArg)
-	}
+	pt.HasLim = q.HasLim
+	pt.Limit = vals.Limit
 	pt.Out = stage
-	pt.Slots = slots
-	return &qtemplate{pt: pt, optsPer: optsPer, compat: q.compat}, nil
+	pt.Slots = vals.Slots
+	return &qtemplate{pt: pt, optsPer: optsPer}, nil
 }
 
 // templateFor returns the query's compiled template together with its
 // literal vector, consulting the DB-wide plan cache: an ad-hoc query
 // whose canonical shape was compiled before reuses that template and
 // pays only the bind phase. The caller holds db.mu (read).
-func (db *DB) templateFor(q *Query) (qt *qtemplate, lits []int64, hit bool, err error) {
-	if q.err != nil {
-		return nil, nil, false, q.err
+func (db *DB) templateFor(q *qspec.Spec) (qt *qtemplate, lits []int64, hit bool, err error) {
+	if q.Err != nil {
+		return nil, nil, false, q.Err
 	}
 	if db.planCache == nil {
-		qt, err = q.buildTemplate()
+		qt, err = db.buildTemplate(q)
 		if err != nil {
 			return nil, nil, false, err
 		}
 		if db.resCache != nil {
 			// No plan cache to need the key, but the result cache does.
-			qt.key = q.canonicalKey()
-			qt.semKey = q.semanticKey()
+			qt.key = q.CanonicalKey()
+			qt.semKey = q.SemanticKey()
 		}
-		return qt, q.collectLits(), false, nil
+		return qt, q.Lits(), false, nil
 	}
-	key := q.canonicalKey()
+	key := q.CanonicalKey()
 	if v, ok := db.planCache.Get(key); ok {
-		return v.(*qtemplate), q.collectLits(), true, nil
+		return v.(*qtemplate), q.Lits(), true, nil
 	}
-	qt, err = q.buildTemplate()
+	qt, err = db.buildTemplate(q)
 	if err != nil {
 		return nil, nil, false, err
 	}
 	qt.key = key
-	qt.semKey = q.semanticKey()
+	qt.semKey = q.SemanticKey()
 	db.planCache.Put(key, qt)
-	return qt, q.collectLits(), false, nil
+	return qt, q.Lits(), false, nil
 }
 
 // templColErr distinguishes "no such column" from "column projected
@@ -1189,7 +804,7 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 		if i == 0 {
 			orderCol = pt.FreeOrderCol
 		}
-		a, err := bindAccess(db, at.Table, t, merged, qt.optsPer[i], orderCol, qt.compat)
+		a, err := bindAccess(db, at.Table, t, merged, qt.optsPer[i], orderCol)
 		if err != nil {
 			return nil, err
 		}
@@ -1209,7 +824,7 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 		}
 		cq.limit, cq.hasLim = n, true
 	}
-	if !qt.compat && cq.hasLim && cq.limit == 0 {
+	if cq.hasLim && cq.limit == 0 {
 		cq.emptyWhy = "LIMIT 0"
 	}
 
@@ -1277,11 +892,9 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 	// tables' write epochs under the same lock the execution will run
 	// under. Resolving parameters to their values before keying is
 	// what lets an ad-hoc query with inline literals and a prepared
-	// statement bound to the same values share one entry. Compat
-	// (DB.Scan) queries and empty-plan short-circuits stay out: the
-	// former pins historical device behaviour, the latter already costs
-	// zero I/O.
-	if db.resCache != nil && qt.semKey != "" && !qt.compat && cq.emptyWhy == "" {
+	// statement bound to the same values share one entry. Empty-plan
+	// short-circuits stay out: they already cost zero I/O.
+	if db.resCache != nil && qt.semKey != "" && cq.emptyWhy == "" {
 		var sb strings.Builder
 		sb.WriteString(qt.semKey)
 		sb.WriteString("#v:")
@@ -1295,7 +908,7 @@ func (db *DB) bindTemplate(qt *qtemplate, lits []int64, b Bind, annotate bool) (
 			for _, c := range in.Conds {
 				// Serialise the folded half-open range, not the raw
 				// scalars: ad-hoc predicates folded at prepare time
-				// (canonPred) and parameterized ones folding here must
+				// (qspec's canonical form) and parameterized ones folding here must
 				// produce the same vector.
 				var bv int64
 				if c.Kind == plan.KindBetween {
@@ -1367,12 +980,12 @@ func (cq *compiledQuery) renderBindNotes() []string {
 // literals — the same prepare → bind pipeline a Stmt uses, which is
 // what keeps ad-hoc and prepared execution value-for-value identical.
 // The caller holds db.mu (read).
-func (q *Query) compile() (*compiledQuery, error) {
-	qt, lits, hit, err := q.db.templateFor(q)
+func (db *DB) compile(q *qspec.Spec) (*compiledQuery, error) {
+	qt, lits, hit, err := db.templateFor(q)
 	if err != nil {
 		return nil, err
 	}
-	cq, err := q.db.bindTemplate(qt, lits, nil, false)
+	cq, err := db.bindTemplate(qt, lits, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1530,15 +1143,9 @@ func (cq *compiledQuery) build(db *DB, ctx context.Context) (*builtQuery, error)
 // or touching the simulated device, and returns the printable plan.
 func (q *Query) Explain() (*Plan, error) {
 	if q.db == nil {
-		return nil, fmt.Errorf("smoothscan: query has no database")
+		return nil, errNoDB
 	}
-	q.db.mu.RLock()
-	defer q.db.mu.RUnlock()
-	cq, err := q.compile()
-	if err != nil {
-		return nil, err
-	}
-	return cq.plan(), nil
+	return q.db.explain(qspec.Of(&q.Builder))
 }
 
 // Run compiles and starts the query. The context cancels it: the
@@ -1547,18 +1154,34 @@ func (q *Query) Explain() (*Plan, error) {
 // and blocking operators (sort, aggregation) check it between the
 // batches they drain. After cancellation Rows.Err reports ctx.Err().
 //
-// As with Scan, always Close the returned Rows.
+// Always Close the returned Rows.
 func (q *Query) Run(ctx context.Context) (*Rows, error) {
 	if q.db == nil {
-		return nil, fmt.Errorf("smoothscan: query has no database")
+		return nil, errNoDB
 	}
+	return q.db.run(ctx, qspec.Of(&q.Builder))
+}
+
+// errNoDB is returned by a zero Query, which no DB built.
+var errNoDB = errors.New("smoothscan: query has no database")
+
+func (db *DB) explain(q *qspec.Spec) (*Plan, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	cq, err := db.compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return cq.plan(), nil
+}
+
+func (db *DB) run(ctx context.Context, q *qspec.Spec) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	db := q.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cq, err := q.compile()
+	cq, err := db.compile(q)
 	if err != nil {
 		return nil, err
 	}

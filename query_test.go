@@ -50,15 +50,16 @@ func mustRun(t testing.TB, q *Query) *Rows {
 	return rows
 }
 
-// TestQueryMatchesScan proves the Scan wrapper and the builder are the
-// same path: identical rows and an identical device-stat delta for the
-// same single-predicate query on identically-built databases.
+// TestQueryMatchesScan proves explicit zero ScanOptions and the
+// builder's defaults are the same path: identical rows and an
+// identical device-stat delta for the same single-predicate query on
+// identically-built databases.
 func TestQueryMatchesScan(t *testing.T) {
 	gen := func(i int64) int64 { return (i * 7919) % 5000 }
 	dbA := buildDB(t, Options{}, 20_000, gen)
 	dbB := buildDB(t, Options{}, 20_000, gen)
 
-	rowsA, err := dbA.Scan("t", "val", 100, 900, ScanOptions{})
+	rowsA, err := dbA.Query("t").Where("val", Between(100, 900)).WithOptions(ScanOptions{}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestQueryMatchesScan(t *testing.T) {
 	gotB := collect(t, rowsB)
 
 	if len(gotA) != len(gotB) {
-		t.Fatalf("Scan returned %d rows, Query %d", len(gotA), len(gotB))
+		t.Fatalf("zero options returned %d rows, defaults %d", len(gotA), len(gotB))
 	}
 	for i := range gotA {
 		for c := range gotA[i] {
@@ -78,7 +79,7 @@ func TestQueryMatchesScan(t *testing.T) {
 		}
 	}
 	if a, b := dbA.Stats(), dbB.Stats(); a != b {
-		t.Errorf("device stats differ:\nScan  %+v\nQuery %+v", a, b)
+		t.Errorf("device stats differ:\nzero options %+v\ndefaults     %+v", a, b)
 	}
 	if a, b := rowsA.ExecStats().IO, rowsB.ExecStats().IO; a != b {
 		t.Errorf("per-query IO deltas differ: %+v vs %+v", a, b)
@@ -258,9 +259,6 @@ func TestQueryLimit(t *testing.T) {
 	got := collect(t, mustRun(t, db.Query("t").Where("val", Between(0, 500)).Limit(7)))
 	if len(got) != 7 {
 		t.Errorf("Limit(7) returned %d rows", len(got))
-	}
-	if _, err := db.Query("t").Limit(-1).Run(context.Background()); err == nil {
-		t.Error("negative limit accepted")
 	}
 }
 
@@ -443,8 +441,8 @@ func TestQueryExecStatsOperators(t *testing.T) {
 }
 
 // TestQueryUnindexedFallsBackToFullScan: the builder's default path
-// degrades to a full scan when the driving column has no index (the
-// Scan wrapper keeps the strict historical error).
+// degrades to a full scan when the driving column has no index (a
+// forced index path keeps the strict error).
 func TestQueryUnindexedFallsBackToFullScan(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -467,8 +465,9 @@ func TestQueryUnindexedFallsBackToFullScan(t *testing.T) {
 	if len(got) != 200 {
 		t.Errorf("returned %d rows, want 200", len(got))
 	}
-	if _, err := db.Scan("u", "b", 3, 4, ScanOptions{}); !errors.Is(err, ErrNoIndex) {
-		t.Errorf("Scan without index = %v, want ErrNoIndex", err)
+	// A forced index path stays strict.
+	if _, err := db.Query("u").Where("b", Between(3, 4)).WithOptions(ScanOptions{Path: PathIndex}).Run(context.Background()); !errors.Is(err, ErrNoIndex) {
+		t.Errorf("PathIndex without index = %v, want ErrNoIndex", err)
 	}
 }
 
@@ -493,14 +492,14 @@ func TestQueryBuilderErrors(t *testing.T) {
 }
 
 // TestScanContextPreCancelled: an already-cancelled context refuses to
-// start the scan.
+// start a single-range query.
 func TestScanContextPreCancelled(t *testing.T) {
 	db := buildDB(t, Options{}, 2_000, func(i int64) int64 { return i })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cancel()
-	if _, err := db.ScanContext(ctx, "t", "val", 0, 100, ScanOptions{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("ScanContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := db.Query("t").Where("val", Between(0, 100)).Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 

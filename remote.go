@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"smoothscan/internal/client"
+	"smoothscan/internal/qspec"
 	"smoothscan/internal/tuple"
 	"smoothscan/internal/wire"
 )
@@ -104,6 +105,7 @@ func OpenShardedRemote(placements []Placement, parts map[string]Partitioning, op
 		for _, t := range tables {
 			d.rows[t.Name] = t.Rows
 		}
+		d.mirror = db
 		s.shards = append(s.shards, db)
 		for table, part := range parts {
 			tab, err := db.table(table)
@@ -154,6 +156,9 @@ func catalogMirror(opts Options, tables []wire.TableSpec) (*DB, error) {
 type remoteDriver struct {
 	shard int
 	addr  string
+	// mirror is the node's schema-only planning DB: the coordinator
+	// half of a prepared statement (parameters, Explain) compiles there.
+	mirror *DB
 	// rows is the node's per-table row count, snapshotted from its
 	// catalog at open time (ShardRows serves it; the mirrors are empty).
 	rows map[string]int64
@@ -247,8 +252,8 @@ func (d *remoteDriver) wrapErr(err error) error {
 	return err
 }
 
-func (d *remoteDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
-	spec, err := q.wireSpec()
+func (d *remoteDriver) run(ctx context.Context, q *qspec.Spec) (shardCursor, error) {
+	spec, err := q.Wire()
 	if err != nil {
 		return nil, err
 	}
@@ -270,16 +275,16 @@ func (d *remoteDriver) run(ctx context.Context, q *Query) (shardCursor, error) {
 	}
 }
 
-func (d *remoteDriver) prepare(q *Query) (shardStmt, error) {
+func (d *remoteDriver) prepare(q *qspec.Spec) (shardStmt, error) {
 	// The local statement — prepared against the shard's schema-only
 	// mirror — carries the coordinator-side half: parameter names for
 	// bind filtering and checkBind, and Explain. Remote handles are
 	// prepared lazily, one per connection actually used.
-	local, err := q.db.Prepare(q)
+	local, err := d.mirror.prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := q.wireSpec()
+	spec, err := q.Wire()
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"smoothscan/internal/exec"
 	"smoothscan/internal/parallel"
 	"smoothscan/internal/plan"
+	"smoothscan/internal/qspec"
 	"smoothscan/internal/rescache"
 	"smoothscan/internal/shard"
 	"smoothscan/internal/tuple"
@@ -380,187 +381,49 @@ func addIO(a, b IOStats) IOStats {
 // ShardedQuery is the Query builder over a ShardedDB: the same
 // Where/Join/Select/GroupBy/OrderBy/Limit surface, compiled into a
 // scatter-gather plan. Builder methods record the first error, like
-// Query.
+// Query's. Under sharding, Where predicates on the partition column
+// also prune shards; a Join runs partition-wise when the two tables
+// are co-partitioned on the join keys, and otherwise broadcasts the
+// smaller estimated side to every shard of the other; GroupBy
+// aggregates per shard and merges the partials on the coordinator
+// (partial COUNTs sum, SUM/MIN/MAX merge with their own function), so
+// raw rows never cross the gather; OrderBy without aggregation runs a
+// k-way ordered merge of the shards' ordered slices; and Limit without
+// aggregation also pushes into every shard.
 type ShardedQuery struct {
-	s        *ShardedDB
-	table    string
-	conds    []cond
-	joins    []joinClause
-	sel      []string
-	hasSel   bool
-	group    string
-	aggs     []Agg
-	hasAgg   bool
-	order    string
-	hasOrd   bool
-	limitArg Arg
-	hasLim   bool
-	opts     ScanOptions
-	err      error
+	qspec.Builder[*ShardedQuery]
+	s *ShardedDB
 }
 
 // Query starts a composable query over the named sharded table.
 func (s *ShardedDB) Query(table string) *ShardedQuery {
-	return &ShardedQuery{s: s, table: table}
-}
-
-func (sq *ShardedQuery) fail(err error) *ShardedQuery {
-	if sq.err == nil {
-		sq.err = err
-	}
+	sq := &ShardedQuery{s: s}
+	sq.Builder = qspec.NewBuilder(sq, table)
 	return sq
 }
 
-// Where adds a conjunctive predicate on a column; predicates on the
-// partition column additionally prune shards.
-func (sq *ShardedQuery) Where(col string, p Pred) *ShardedQuery {
-	if p.err != nil {
-		return sq.fail(fmt.Errorf("Where(%q): %w", col, p.err))
-	}
-	sq.conds = append(sq.conds, cond{col: col, p: p})
-	return sq
-}
-
-// Join adds an inner equi-join with another sharded table. When the
-// two tables are co-partitioned on the join keys the join runs
-// partition-wise (shard i joins shard i); otherwise the smaller
-// estimated side is broadcast to every shard of the other.
-func (sq *ShardedQuery) Join(table, leftCol, rightCol string) *ShardedQuery {
-	sq.joins = append(sq.joins, joinClause{table: table, leftCol: leftCol, rightCol: rightCol})
-	return sq
-}
-
-// JoinWithOptions is Join with explicit ScanOptions for the joined
-// table's per-shard access path.
-func (sq *ShardedQuery) JoinWithOptions(table, leftCol, rightCol string, opts ScanOptions) *ShardedQuery {
-	sq.joins = append(sq.joins, joinClause{table: table, leftCol: leftCol, rightCol: rightCol, opts: opts})
-	return sq
-}
-
-// Select projects the output onto the named columns.
-func (sq *ShardedQuery) Select(cols ...string) *ShardedQuery {
-	if sq.hasSel {
-		return sq.fail(fmt.Errorf("smoothscan: Select set twice"))
-	}
-	if len(cols) == 0 {
-		return sq.fail(fmt.Errorf("smoothscan: Select requires at least one column"))
-	}
-	sq.sel = append([]string(nil), cols...)
-	sq.hasSel = true
-	return sq
-}
-
-// GroupBy groups rows by a column and computes the aggregates per
-// group: each shard aggregates its local rows, the coordinator merges
-// the partials (COUNT partials sum; SUM/MIN/MAX merge with their own
-// function), so raw rows never cross the gather for an aggregate
-// query.
-func (sq *ShardedQuery) GroupBy(col string, aggs ...Agg) *ShardedQuery {
-	if sq.hasAgg {
-		return sq.fail(fmt.Errorf("smoothscan: GroupBy set twice"))
-	}
-	if len(aggs) == 0 {
-		return sq.fail(fmt.Errorf("smoothscan: GroupBy requires at least one aggregate"))
-	}
-	sq.group = col
-	sq.aggs = append([]Agg(nil), aggs...)
-	sq.hasAgg = true
-	return sq
-}
-
-// OrderBy orders the output by the named column, ascending. Without
-// aggregation, each shard delivers its slice ordered and the gather
-// runs a k-way ordered merge; with aggregation the coordinator orders
-// the merged groups.
-func (sq *ShardedQuery) OrderBy(col string) *ShardedQuery {
-	if sq.hasOrd {
-		return sq.fail(fmt.Errorf("smoothscan: OrderBy set twice"))
-	}
-	sq.order = col
-	sq.hasOrd = true
-	return sq
-}
-
-// Limit caps the number of output rows. Without aggregation it also
-// pushes into every shard (no shard delivers more than n rows).
-func (sq *ShardedQuery) Limit(n any) *ShardedQuery {
-	a := asArg(n)
-	if a.err != nil {
-		return sq.fail(fmt.Errorf("Limit: %w", a.err))
-	}
-	if a.param == "" && a.lit < 0 {
-		return sq.fail(fmt.Errorf("smoothscan: negative limit %d", a.lit))
-	}
-	sq.limitArg = a
-	sq.hasLim = true
-	return sq
-}
-
-// WithOptions applies ScanOptions to every shard's driving-table
-// access (each shard still plans — and morphs — independently).
-func (sq *ShardedQuery) WithOptions(opts ScanOptions) *ShardedQuery {
-	sq.opts = opts
-	return sq
-}
-
-// snapshot deep-copies the builder state (a prepared ShardedStmt must
-// not alias slices the caller keeps appending to).
-func (sq *ShardedQuery) snapshot() *ShardedQuery {
-	cp := *sq
-	cp.conds = append([]cond(nil), sq.conds...)
-	cp.joins = append([]joinClause(nil), sq.joins...)
-	cp.sel = append([]string(nil), sq.sel...)
-	cp.aggs = append([]Agg(nil), sq.aggs...)
-	return &cp
-}
-
-// fullQuery rebuilds the whole query against one shard DB — the
-// validation and template source (shard 0), and the per-shard plan of
-// the scan and partition-wise strategies before pushdown pruning.
-func (sq *ShardedQuery) fullQuery(db *DB) *Query {
-	return &Query{
-		db:       db,
-		table:    sq.table,
-		conds:    sq.conds,
-		joins:    sq.joins,
-		sel:      sq.sel,
-		hasSel:   sq.hasSel,
-		group:    sq.group,
-		aggs:     sq.aggs,
-		hasAgg:   sq.hasAgg,
-		order:    sq.order,
-		hasOrd:   sq.hasOrd,
-		limitArg: sq.limitArg,
-		hasLim:   sq.hasLim,
-		opts:     sq.opts,
-		err:      sq.err,
-	}
-}
-
-// perShardQuery is the query each shard runs under the scan and
+// perShardSpec is the query each shard runs under the scan and
 // partition-wise strategies. Aggregate queries drop OrderBy and Limit
 // — shards emit partial groups, and ordering/limiting only make sense
 // after the coordinator merges them; everything else (including
 // OrderBy and a pushed Limit) runs as-is per shard.
-func (sq *ShardedQuery) perShardQuery(db *DB) *Query {
-	q := sq.fullQuery(db)
-	if sq.hasAgg {
-		q.order = ""
-		q.hasOrd = false
-		q.limitArg = Arg{}
-		q.hasLim = false
+func perShardSpec(q *qspec.Spec) *qspec.Spec {
+	cp := *q
+	if cp.HasAgg {
+		cp.Order, cp.HasOrd = "", false
+		cp.Limit, cp.HasLim = Arg{}, false
 	}
-	return q
+	return &cp
 }
 
 // splitConds routes the Where conjuncts to the one input whose schema
 // has the column, mirroring buildTemplate's routing (ambiguity was
 // already rejected there).
-func (sq *ShardedQuery) splitConds(pt *plan.Template) [][]cond {
-	out := make([][]cond, len(pt.Inputs))
-	for _, c := range sq.conds {
+func splitConds(q *qspec.Spec, pt *plan.Template) [][]qspec.Cond {
+	out := make([][]qspec.Cond, len(pt.Inputs))
+	for _, c := range q.Conds {
 		for i := range pt.Inputs {
-			if pt.Inputs[i].Schema.ColIndex(c.col) >= 0 {
+			if pt.Inputs[i].Schema.ColIndex(c.Col) >= 0 {
 				out[i] = append(out[i], c)
 				break
 			}
@@ -569,57 +432,19 @@ func (sq *ShardedQuery) splitConds(pt *plan.Template) [][]cond {
 	return out
 }
 
-// sideQuery builds the single-table query for one side of a broadcast
+// sideSpec builds the single-table query for one side of a broadcast
 // join: that table, its routed conjuncts, its ScanOptions — no
 // projection, ordering or limit (those happen above the join).
-func (sq *ShardedQuery) sideQuery(db *DB, input int, pt *plan.Template) *Query {
-	opts := sq.opts
+func sideSpec(q *qspec.Spec, input int, pt *plan.Template) *qspec.Spec {
+	opts := q.Opts
 	if input > 0 {
-		opts = sq.joins[input-1].opts
+		opts = q.Joins[input-1].Opts
 	}
-	return &Query{
-		db:    db,
-		table: pt.Inputs[input].Table,
-		conds: sq.splitConds(pt)[input],
-		opts:  opts,
-		err:   sq.err,
+	return &qspec.Spec{
+		Table: pt.Inputs[input].Table,
+		Conds: splitConds(q, pt)[input],
+		Opts:  opts,
 	}
-}
-
-// resolveArg resolves a predicate argument against a bind set; false
-// when it names an unbound parameter.
-func resolveArg(a Arg, b Bind) (int64, bool) {
-	if a.param != "" {
-		v, ok := b[a.param]
-		return v, ok
-	}
-	return a.lit, true
-}
-
-// foldCondsRange folds the conjuncts on one column into a single
-// half-open range, for shard pruning. Conjuncts with unresolvable
-// parameters are skipped — pruning just gets more conservative.
-func foldCondsRange(conds []cond, col string, b Bind) tuple.RangePred {
-	pr := tuple.RangePred{Lo: math.MinInt64, Hi: math.MaxInt64}
-	for _, c := range conds {
-		if c.col != col {
-			continue
-		}
-		kind, aArg, bArg := canonPred(c.p)
-		av, ok := resolveArg(aArg, b)
-		if !ok {
-			continue
-		}
-		var bv int64
-		if kind == plan.KindBetween {
-			if bv, ok = resolveArg(bArg, b); !ok {
-				continue
-			}
-		}
-		lo, hi := plan.FoldRange(kind, av, bv)
-		pr = pr.Intersect(tuple.RangePred{Lo: lo, Hi: hi})
-	}
-	return pr
 }
 
 // mergeSpecs derives the coordinator's merge aggregates from the
@@ -754,7 +579,7 @@ func (s *ShardedDB) sideEstimate(qt *qtemplate, input int, lits []int64, b Bind)
 				return 0, err
 			}
 		}
-		a, err := bindAccess(db, at.Table, t, merged, qt.optsPer[input], "", false)
+		a, err := bindAccess(db, at.Table, t, merged, qt.optsPer[input], "")
 		db.mu.RUnlock()
 		if err != nil {
 			return 0, err
@@ -768,13 +593,13 @@ func (s *ShardedDB) sideEstimate(qt *qtemplate, input int, lits []int64, b Bind)
 // binding (constants, limit, contradiction short-circuits), strategy,
 // partition pruning from the folded Where conjuncts, and the gather /
 // coordinator configuration.
-func (s *ShardedDB) compileShardExec(sq *ShardedQuery, qt *qtemplate, lits []int64, b Bind, annotate bool) (*shardExec, error) {
+func (s *ShardedDB) compileShardExec(q *qspec.Spec, qt *qtemplate, lits []int64, b Bind, annotate bool) (*shardExec, error) {
 	pt := qt.pt
 	s.mu.RLock()
-	part, ok := s.parts[sq.table]
+	part, ok := s.parts[q.Table]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotSharded, sq.table)
+		return nil, fmt.Errorf("%w: %q", ErrNotSharded, q.Table)
 	}
 
 	shard0 := s.shards[0]
@@ -805,7 +630,7 @@ func (s *ShardedDB) compileShardExec(sq *ShardedQuery, qt *qtemplate, lits []int
 		emptyWhy:    cq0.emptyWhy,
 	}
 
-	condsPer := sq.splitConds(pt)
+	condsPer := splitConds(q, pt)
 
 	// Broadcast side selection: replicate the smaller estimated input.
 	if strategy == strategyBroadcast {
@@ -828,8 +653,8 @@ func (s *ShardedDB) compileShardExec(sq *ShardedQuery, qt *qtemplate, lits []int
 
 	// Partition pruning: fold each input's conjuncts on its partition
 	// column and keep only the shards that can hold matching rows.
-	prune := func(p shard.Partitioning, conds []cond) {
-		pr := foldCondsRange(conds, p.Column, b)
+	prune := func(p shard.Partitioning, conds []qspec.Cond) {
+		pr := qspec.FoldRange(conds, p.Column, b)
 		if pr.Lo == math.MinInt64 && pr.Hi == math.MaxInt64 {
 			return
 		}
@@ -864,7 +689,7 @@ func (s *ShardedDB) compileShardExec(sq *ShardedQuery, qt *qtemplate, lits []int
 			}
 		case strategyBroadcast:
 			prune(parts[se.scanInput], condsPer[se.scanInput])
-			bcPr := foldCondsRange(condsPer[se.bcInput], se.bcPart.Column, b)
+			bcPr := qspec.FoldRange(condsPer[se.bcInput], se.bcPart.Column, b)
 			se.bcActive = se.bcPart.Prune(bcPr.Lo, bcPr.Hi)
 			if len(se.bcActive) == 0 {
 				se.emptyWhy = fmt.Sprintf("broadcast side %q fully pruned", pt.Inputs[se.bcInput].Table)
@@ -1139,28 +964,59 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 // shard's scan.
 func (sq *ShardedQuery) Run(ctx context.Context) (*ShardedRows, error) {
 	if sq.s == nil {
-		return nil, fmt.Errorf("smoothscan: query has no database")
+		return nil, errNoDB
 	}
-	s := sq.s
+	return sq.s.run(ctx, qspec.Of(&sq.Builder))
+}
+
+// Explain compiles the sharded query without executing it: the
+// strategy, the pruning decisions, the gather mode, the coordinator
+// stages, and each active shard's own compiled plan.
+func (sq *ShardedQuery) Explain() (*ShardedPlan, error) {
+	if sq.s == nil {
+		return nil, errNoDB
+	}
+	q := qspec.Of(&sq.Builder)
+	qt, se, _, err := sq.s.compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return sq.s.shardedPlan(se, sq.s.shardPlans(q, qt, se))
+}
+
+// compile plans an ad-hoc sharded query: the template through shard
+// 0's plan cache, then the scatter-gather binding.
+func (s *ShardedDB) compile(q *qspec.Spec) (*qtemplate, *shardExec, bool, error) {
 	shard0 := s.shards[0]
 	shard0.mu.RLock()
-	qt, lits, hit, err := shard0.templateFor(sq.fullQuery(shard0))
+	qt, lits, hit, err := shard0.templateFor(q)
 	shard0.mu.RUnlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
-	se, err := s.compileShardExec(sq, qt, lits, nil, false)
+	se, err := s.compileShardExec(q, qt, lits, nil, false)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return qt, se, hit, nil
+}
+
+// shardPlans renders each active shard's own plan for an ad-hoc query.
+func (s *ShardedDB) shardPlans(q *qspec.Spec, qt *qtemplate, se *shardExec) func(si int) (*Plan, error) {
+	return func(si int) (*Plan, error) {
+		if se.strategy == strategyBroadcast {
+			return s.shards[si].explain(sideSpec(q, se.scanInput, qt.pt))
+		}
+		return s.shards[si].explain(perShardSpec(q))
+	}
+}
+
+func (s *ShardedDB) run(ctx context.Context, q *qspec.Spec) (*ShardedRows, error) {
+	qt, se, hit, err := s.compile(q)
 	if err != nil {
 		return nil, err
 	}
-	planFn := func() (*ShardedPlan, error) {
-		return s.shardedPlan(se, func(si int) (*Plan, error) {
-			if se.strategy == strategyBroadcast {
-				return sq.sideQuery(s.shards[si], se.scanInput, qt.pt).Explain()
-			}
-			return sq.perShardQuery(s.shards[si]).Explain()
-		})
-	}
+	planFn := func() (*ShardedPlan, error) { return s.shardedPlan(se, s.shardPlans(q, qt, se)) }
 	// Coordinator result-cache tier: a hit serves the materialized
 	// result with every shard untouched; a miss captures the epochs
 	// now — before any shard worker starts — so a write interleaving
@@ -1180,10 +1036,10 @@ func (sq *ShardedQuery) Run(ctx context.Context) (*ShardedRows, error) {
 	run := runnerset{
 		planCached: hit,
 		shard: func(ctx context.Context, si int) (shardCursor, error) {
-			return s.drivers[si].run(ctx, sq.perShardQuery(s.shards[si]))
+			return s.drivers[si].run(ctx, perShardSpec(q))
 		},
 		side: func(ctx context.Context, input, si int) (shardCursor, error) {
-			return s.drivers[si].run(ctx, sq.sideQuery(s.shards[si], input, qt.pt))
+			return s.drivers[si].run(ctx, sideSpec(q, input, qt.pt))
 		},
 	}
 	sr, err := s.startSharded(ctx, se, run)
@@ -1195,33 +1051,6 @@ func (sq *ShardedQuery) Run(ctx context.Context) (*ShardedRows, error) {
 	}
 	sr.planFn = planFn
 	return sr, nil
-}
-
-// Explain compiles the sharded query without executing it: the
-// strategy, the pruning decisions, the gather mode, the coordinator
-// stages, and each active shard's own compiled plan.
-func (sq *ShardedQuery) Explain() (*ShardedPlan, error) {
-	if sq.s == nil {
-		return nil, fmt.Errorf("smoothscan: query has no database")
-	}
-	s := sq.s
-	shard0 := s.shards[0]
-	shard0.mu.RLock()
-	qt, lits, _, err := shard0.templateFor(sq.fullQuery(shard0))
-	shard0.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	se, err := s.compileShardExec(sq, qt, lits, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return s.shardedPlan(se, func(si int) (*Plan, error) {
-		if se.strategy == strategyBroadcast {
-			return sq.sideQuery(s.shards[si], se.scanInput, qt.pt).Explain()
-		}
-		return sq.perShardQuery(s.shards[si]).Explain()
-	})
 }
 
 // ShardedRows iterates a sharded query result, mirroring Rows: a
@@ -1397,7 +1226,7 @@ func (r *ShardedRows) Plan() (*ShardedPlan, error) {
 // for a wide one.
 type ShardedStmt struct {
 	s         *ShardedDB
-	sq        *ShardedQuery
+	q         *qspec.Spec
 	qt        *qtemplate
 	lits      []int64
 	params    []string
@@ -1415,29 +1244,33 @@ func (s *ShardedDB) Prepare(sq *ShardedQuery) (*ShardedStmt, error) {
 	if sq.s != s {
 		return nil, fmt.Errorf("smoothscan: Prepare of a query built on a different database")
 	}
-	snap := sq.snapshot()
+	return s.prepare(qspec.Of(&sq.Builder))
+}
+
+func (s *ShardedDB) prepare(q *qspec.Spec) (*ShardedStmt, error) {
+	snap := q.Clone()
 	shard0 := s.shards[0]
 	shard0.mu.RLock()
-	qt, lits, _, err := shard0.templateFor(snap.fullQuery(shard0))
+	qt, lits, _, err := shard0.templateFor(snap)
 	shard0.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
-	part, ok := s.parts[snap.table]
+	part, ok := s.parts[snap.Table]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotSharded, snap.table)
+		return nil, fmt.Errorf("%w: %q", ErrNotSharded, snap.Table)
 	}
 	strategy, _, err := s.strategyFor(qt.pt, part)
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedStmt{s: s, sq: snap, qt: qt, lits: lits, params: qt.pt.Params, strategy: strategy}
+	st := &ShardedStmt{s: s, q: snap, qt: qt, lits: lits, params: qt.pt.Params, strategy: strategy}
 	if strategy == strategyBroadcast {
 		for input := 0; input < 2; input++ {
-			for si, db := range s.shards {
-				ps, err := s.drivers[si].prepare(snap.sideQuery(db, input, qt.pt))
+			for si := range s.shards {
+				ps, err := s.drivers[si].prepare(sideSpec(snap, input, qt.pt))
 				if err != nil {
 					return nil, err
 				}
@@ -1445,8 +1278,8 @@ func (s *ShardedDB) Prepare(sq *ShardedQuery) (*ShardedStmt, error) {
 			}
 		}
 	} else {
-		for si, db := range s.shards {
-			ps, err := s.drivers[si].prepare(snap.perShardQuery(db))
+		for si := range s.shards {
+			ps, err := s.drivers[si].prepare(perShardSpec(snap))
 			if err != nil {
 				return nil, err
 			}
@@ -1491,11 +1324,11 @@ func (st *ShardedStmt) Run(ctx context.Context, b Bind) (*ShardedRows, error) {
 	if err := st.checkBind(b); err != nil {
 		return nil, err
 	}
-	se, err := st.s.compileShardExec(st.sq, st.qt, st.lits, b, true)
+	se, err := st.s.compileShardExec(st.q, st.qt, st.lits, b, true)
 	if err != nil {
 		return nil, err
 	}
-	// Coordinator result-cache tier, as in ShardedQuery.Run: prepared
+	// Coordinator result-cache tier, as in ad-hoc runs: prepared
 	// executions share entries with ad-hoc ones (the key is the
 	// canonical shape plus the resolved values).
 	cache := st.s.cacheableSharded(se)
@@ -1536,7 +1369,7 @@ func (st *ShardedStmt) Explain(b Bind) (*ShardedPlan, error) {
 	if err := st.checkBind(b); err != nil {
 		return nil, err
 	}
-	se, err := st.s.compileShardExec(st.sq, st.qt, st.lits, b, true)
+	se, err := st.s.compileShardExec(st.q, st.qt, st.lits, b, true)
 	if err != nil {
 		return nil, err
 	}

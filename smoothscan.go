@@ -41,6 +41,7 @@ import (
 	"smoothscan/internal/heap"
 	"smoothscan/internal/optimizer"
 	"smoothscan/internal/plan"
+	"smoothscan/internal/qspec"
 	"smoothscan/internal/rescache"
 	"smoothscan/internal/tuple"
 )
@@ -93,45 +94,26 @@ const (
 // SmoothStats exposes the Smooth Scan operator's run-time counters.
 type SmoothStats = core.Stats
 
-// AccessPath selects the scan implementation.
-type AccessPath int
+// AccessPath selects the scan implementation of a table access.
+type AccessPath = qspec.AccessPath
 
-// Access paths available to Scan.
+// Access paths a query's table access can use (ScanOptions.Path).
 const (
 	// PathSmooth is the adaptive Smooth Scan (default).
-	PathSmooth AccessPath = iota
+	PathSmooth = qspec.PathSmooth
 	// PathAuto lets the cost-based optimizer pick among the
 	// traditional paths using whatever statistics exist — the
 	// baseline whose fragility the paper demonstrates.
-	PathAuto
+	PathAuto = qspec.PathAuto
 	// PathFull forces a full table scan.
-	PathFull
+	PathFull = qspec.PathFull
 	// PathIndex forces a classic non-clustered index scan.
-	PathIndex
+	PathIndex = qspec.PathIndex
 	// PathSort forces a sort scan (bitmap heap scan).
-	PathSort
+	PathSort = qspec.PathSort
 	// PathSwitch forces the binary-switching adaptive baseline.
-	PathSwitch
+	PathSwitch = qspec.PathSwitch
 )
-
-func (p AccessPath) String() string {
-	switch p {
-	case PathSmooth:
-		return "smooth"
-	case PathAuto:
-		return "auto"
-	case PathFull:
-		return "full"
-	case PathIndex:
-		return "index"
-	case PathSort:
-		return "sort"
-	case PathSwitch:
-		return "switch"
-	default:
-		return fmt.Sprintf("AccessPath(%d)", int(p))
-	}
-}
 
 // Options configures a database.
 type Options struct {
@@ -167,8 +149,8 @@ type Options struct {
 // secondary indexes, scan with any access path.
 //
 // Concurrency: a DB is safe to share across goroutines for reads —
-// any number of Scans (serial or parallel) may run concurrently, each
-// returning its own Rows. A Rows is NOT safe to share: exactly one
+// any number of queries (serial or parallel) may run concurrently,
+// each returning its own Rows. A Rows is NOT safe to share: exactly one
 // goroutine may drive it. Mutating operations (CreateTable,
 // CreateIndex, Analyze, Insert, Compact) are mutually serialized but
 // must not run while scans are open; so ColdCache and ResetStats,
@@ -524,7 +506,7 @@ func (db *DB) Stats() IOStats { return db.dev.Stats() }
 // ErrScansOpen while any Rows is open: in-flight scans are still
 // charging the counters, and zeroing them mid-query would corrupt
 // both the query's and the device's accounting. The check excludes
-// concurrent Scan calls (both hold db.mu), so a scan is either fully
+// concurrent Run calls (both hold db.mu), so a query is either fully
 // registered and refused here, or starts after the reset.
 func (db *DB) ResetStats() error {
 	db.mu.Lock()
@@ -540,7 +522,7 @@ func (db *DB) ResetStats() error {
 // the system in the cold state the paper measures. It is refused with
 // ErrScansOpen while any Rows is open: evicting every frame under an
 // in-flight iterator would silently change what that scan reads and
-// pays for. Like ResetStats, it excludes concurrent Scan calls.
+// pays for. Like ResetStats, it excludes concurrent Run calls.
 func (db *DB) ColdCache() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -554,45 +536,13 @@ func (db *DB) ColdCache() error {
 	return nil
 }
 
-// ScanOptions configures a Scan.
-type ScanOptions struct {
-	// Path selects the access path (default PathSmooth).
-	Path AccessPath
-	// Policy is the Smooth Scan morphing policy (default Elastic).
-	Policy Policy
-	// Trigger is the Smooth Scan morphing trigger (default Eager).
-	Trigger Trigger
-	// Ordered requests output in index-key order. Smooth, index and
-	// sort scans deliver it natively (sort scan via a posterior
-	// sort); full and switch scans return an error when Ordered is
-	// set, as they cannot.
-	Ordered bool
-	// EstimatedRows is the optimizer's cardinality estimate, used by
-	// the OptimizerDriven trigger and the PathSwitch threshold. When
-	// zero, the estimate comes from table statistics (Analyze) or the
-	// uniformity assumption.
-	EstimatedRows int64
-	// SLABound is the operator cost bound for the SLADriven trigger,
-	// in cost units.
-	SLABound float64
-	// MaxRegionPages caps the Smooth Scan morphing region (default
-	// 2048 pages = 16 MB, the paper's optimum).
-	MaxRegionPages int64
-	// ResultCacheBudget bounds the ordered Smooth Scan's Result Cache
-	// resident memory in bytes; beyond it, far partitions spill to
-	// overflow files (charged as sequential I/O). Zero = unlimited.
-	// A parallel scan splits the budget evenly across its workers.
-	ResultCacheBudget int64
-	// Parallelism is the number of scan workers. Values <= 1 select
-	// the classic serial operator. For PathSmooth and PathFull the
-	// table's heap pages are partitioned into that many disjoint
-	// shards, one independently-morphing worker each, merged through
-	// an unordered fan-in (or a key-ordered merge when Ordered is
-	// set); the result rows are exactly those of the serial scan. The
-	// other access paths ignore the knob and run serially. The value
-	// is clamped to the table's page count and to MaxParallelism.
-	Parallelism int
-}
+// ScanOptions configures one table access of a query: access path,
+// morphing policy and trigger, ordered delivery, cardinality estimate,
+// SLA bound, morphing-region cap, Result Cache budget and parallelism.
+// Query.WithOptions applies them to the driving table,
+// Query.JoinWithOptions to a joined one; the zero value is the adaptive
+// Smooth Scan with the paper's defaults.
+type ScanOptions = qspec.ScanOptions
 
 // MaxParallelism caps ScanOptions.Parallelism.
 const MaxParallelism = 64
@@ -840,41 +790,6 @@ func (r *Rows) Choice() (path string, estimatedRows int64, ok bool) {
 		return "", 0, false
 	}
 	return r.choice.Path.String(), r.choice.EstimatedCard, true
-}
-
-// Scan returns the rows of tableName whose column value v satisfies
-// lo <= v < hi, using the configured access path. All paths except
-// PathFull require an index on the column (CreateIndex).
-//
-// Scan is a thin wrapper over the Query builder —
-// db.Query(table).Where(column, Between(lo, hi)).WithOptions(opts) —
-// kept for compatibility: it compiles through the same
-// plan-construction step, produces byte-identical results and
-// simulated costs to the pre-builder implementation (the harness's
-// `ssbench -exp all` output is diffed against a committed golden in
-// CI), and preserves the historical strictness the builder relaxes
-// (a missing index is an error rather than a full-scan fallback, and
-// an empty range still walks the index).
-//
-// Scan is effectively deprecated for new code: prefer the Query
-// builder (db.Query, or the backend-neutral Engine.Table), which
-// composes with joins, grouping, prepared statements and every Engine
-// backend — sharded and remote included. Scan remains supported and
-// the golden-diffed harness pins its behaviour, but it gains no new
-// capability. (The comment deliberately avoids the machine-readable
-// "Deprecated:" marker so existing callers stay lint-clean.)
-func (db *DB) Scan(tableName, column string, lo, hi int64, opts ScanOptions) (*Rows, error) {
-	return db.ScanContext(context.Background(), tableName, column, lo, hi, opts)
-}
-
-// ScanContext is Scan with cancellation: ctx deadlines and cancels
-// propagate to the returned Rows (checked once per batch refill) and
-// to any parallel scan workers, which observe cancellation between
-// batches and exit promptly.
-func (db *DB) ScanContext(ctx context.Context, tableName, column string, lo, hi int64, opts ScanOptions) (*Rows, error) {
-	q := db.Query(tableName).Where(column, Between(lo, hi)).WithOptions(opts)
-	q.compat = true
-	return q.Run(ctx)
 }
 
 // costParams derives Section V cost-model parameters for a table.

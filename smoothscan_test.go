@@ -1,9 +1,11 @@
 package smoothscan
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -112,10 +114,10 @@ func TestLoadLifecycle(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	db := buildDB(t, Options{}, 10, func(i int64) int64 { return i })
-	if _, err := db.Scan("missing", "val", 0, 1, ScanOptions{}); !errors.Is(err, ErrNoTable) {
+	if _, err := db.Query("missing").Where("val", Between(0, 1)).Run(context.Background()); !errors.Is(err, ErrNoTable) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := db.Scan("t", "missing", 0, 1, ScanOptions{}); err == nil {
+	if _, err := db.Query("t").Where("missing", Between(0, 1)).Run(context.Background()); err == nil {
 		t.Error("unknown column accepted")
 	}
 	if err := db.CreateIndex("t", "missing"); err == nil {
@@ -124,8 +126,8 @@ func TestUnknownTableAndColumn(t *testing.T) {
 	if err := db.Analyze("t", "missing"); err == nil {
 		t.Error("analyze of unknown column accepted")
 	}
-	// Smooth scan on a column without an index.
-	if _, err := db.Scan("t", "id", 0, 1, ScanOptions{}); !errors.Is(err, ErrNoIndex) {
+	// A forced index path on a column without an index.
+	if _, err := db.Query("t").Where("id", Between(0, 1)).WithOptions(ScanOptions{Path: PathIndex}).Run(context.Background()); !errors.Is(err, ErrNoIndex) {
 		t.Errorf("err = %v, want ErrNoIndex", err)
 	}
 }
@@ -138,7 +140,7 @@ func TestScanPathsAgree(t *testing.T) {
 	paths := []AccessPath{PathFull, PathIndex, PathSort, PathSwitch, PathSmooth, PathAuto}
 	for _, p := range paths {
 		db.ColdCache()
-		rows, err := db.Scan("t", "val", 100, 300, ScanOptions{Path: p})
+		rows, err := db.Query("t").Where("val", Between(100, 300)).WithOptions(ScanOptions{Path: p}).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -166,7 +168,7 @@ func TestScanPathsAgree(t *testing.T) {
 func TestOrderedSmoothScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	db := buildDB(t, Options{PoolPages: 128}, 2000, func(i int64) int64 { return rng.Int63n(400) })
-	rows, err := db.Scan("t", "val", 0, 400, ScanOptions{Ordered: true})
+	rows, err := db.Query("t").Where("val", Between(0, 400)).WithOptions(ScanOptions{Ordered: true}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,17 +185,17 @@ func TestOrderedSmoothScan(t *testing.T) {
 
 func TestOrderedRejectedForFullAndSwitch(t *testing.T) {
 	db := buildDB(t, Options{}, 100, func(i int64) int64 { return i })
-	if _, err := db.Scan("t", "val", 0, 10, ScanOptions{Path: PathFull, Ordered: true}); err == nil {
+	if _, err := db.Query("t").Where("val", Between(0, 10)).WithOptions(ScanOptions{Path: PathFull, Ordered: true}).Run(context.Background()); err == nil {
 		t.Error("ordered full scan accepted")
 	}
-	if _, err := db.Scan("t", "val", 0, 10, ScanOptions{Path: PathSwitch, Ordered: true}); err == nil {
+	if _, err := db.Query("t").Where("val", Between(0, 10)).WithOptions(ScanOptions{Path: PathSwitch, Ordered: true}).Run(context.Background()); err == nil {
 		t.Error("ordered switch scan accepted")
 	}
 }
 
 func TestSmoothStatsExposed(t *testing.T) {
 	db := buildDB(t, Options{PoolPages: 128}, 2000, func(i int64) int64 { return (i * 7919) % 2000 })
-	rows, err := db.Scan("t", "val", 0, 2000, ScanOptions{})
+	rows, err := db.Query("t").Where("val", Between(0, 2000)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestSmoothStatsExposed(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Non-smooth scans expose no smooth stats.
-	rows2, err := db.Scan("t", "val", 0, 10, ScanOptions{Path: PathIndex})
+	rows2, err := db.Query("t").Where("val", Between(0, 10)).WithOptions(ScanOptions{Path: PathIndex}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestAutoPathUsesStatistics(t *testing.T) {
 	// The table must be large enough that an index probe can beat a
 	// full scan at all (a handful of random accesses vs ~400 pages).
 	db := buildDB(t, Options{PoolPages: 256}, 200_000, func(i int64) int64 { return i })
-	rows, err := db.Scan("t", "val", 0, 5, ScanOptions{Path: PathAuto})
+	rows, err := db.Query("t").Where("val", Between(0, 5)).WithOptions(ScanOptions{Path: PathAuto}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestAutoPathUsesStatistics(t *testing.T) {
 	if err := db.Analyze("t", "val"); err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := db.Scan("t", "val", 0, 5, ScanOptions{Path: PathAuto})
+	rows2, err := db.Query("t").Where("val", Between(0, 5)).WithOptions(ScanOptions{Path: PathAuto}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +286,11 @@ func TestSLAScan(t *testing.T) {
 	}
 	db.ColdCache()
 	db.ResetStats()
-	rows, err := db.Scan("t", "c2", 0, n, ScanOptions{
+	rows, err := db.Query("t").Where("c2", Between(0, n)).WithOptions(ScanOptions{
 		Policy:   Greedy,
 		Trigger:  SLADriven,
 		SLABound: 2.5 * fs,
-	})
+	}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +305,7 @@ func TestSLAScan(t *testing.T) {
 
 func TestColAccessor(t *testing.T) {
 	db := buildDB(t, Options{}, 10, func(i int64) int64 { return i * 2 })
-	rows, err := db.Scan("t", "val", 4, 5, ScanOptions{Path: PathIndex})
+	rows, err := db.Query("t").Where("val", Between(4, 5)).WithOptions(ScanOptions{Path: PathIndex}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +326,7 @@ func TestColdCacheMatters(t *testing.T) {
 	db := buildDB(t, Options{PoolPages: 4096}, 3000, func(i int64) int64 { return i })
 	run := func() float64 {
 		db.ResetStats()
-		rows, err := db.Scan("t", "val", 0, 3000, ScanOptions{Path: PathFull})
+		rows, err := db.Query("t").Where("val", Between(0, 3000)).WithOptions(ScanOptions{Path: PathFull}).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,12 +353,12 @@ func TestPublicAPIEquivalenceProperty(t *testing.T) {
 		db := buildDB(t, Options{PoolPages: 64}, 800, func(i int64) int64 { return rng.Int63n(1000) })
 		lo := int64(loRaw) % 1100
 		hi := lo + int64(width)%400
-		full, err := db.Scan("t", "val", lo, hi, ScanOptions{Path: PathFull})
+		full, err := db.Query("t").Where("val", Between(lo, hi)).WithOptions(ScanOptions{Path: PathFull}).Run(context.Background())
 		if err != nil {
 			return false
 		}
 		a := collect(t, full)
-		smooth, err := db.Scan("t", "val", lo, hi, ScanOptions{Ordered: true})
+		smooth, err := db.Query("t").Where("val", Between(lo, hi)).WithOptions(ScanOptions{Ordered: true}).Run(context.Background())
 		if err != nil {
 			return false
 		}
@@ -377,6 +379,46 @@ func TestPublicAPIEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestConcurrentIndexScansAfterInsert opens index scans from two
+// goroutines at once after a run of out-of-order Inserts, no Insert
+// overlapping a cursor — the engine's documented contract. Reads must
+// not write the index's insert delta; run under -race.
+func TestConcurrentIndexScansAfterInsert(t *testing.T) {
+	db := buildDB(t, Options{}, 1000, func(i int64) int64 { return i % 100 })
+	for i := int64(0); i < 50; i++ {
+		if err := db.Insert("t", 1000+i, (i*37)%100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	counts := make([]int, 2)
+	errs := make([]error, 2)
+	for g := range counts {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rows, err := db.Query("t").Where("val", Between(0, 100)).WithOptions(ScanOptions{Path: PathIndex}).Run(context.Background())
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			for rows.Next() {
+				counts[g]++
+			}
+			errs[g] = rows.Close()
+		}(g)
+	}
+	wg.Wait()
+	for g := range counts {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if counts[g] != 1050 {
+			t.Errorf("reader %d saw %d rows, want 1050", g, counts[g])
+		}
+	}
+}
+
 func TestInsertAndCompact(t *testing.T) {
 	db := buildDB(t, Options{PoolPages: 128}, 1000, func(i int64) int64 { return i % 100 })
 	// Incremental inserts become visible to every access path.
@@ -387,7 +429,7 @@ func TestInsertAndCompact(t *testing.T) {
 	}
 	count := func(path AccessPath) int {
 		db.ColdCache()
-		rows, err := db.Scan("t", "val", 55, 56, ScanOptions{Path: path})
+		rows, err := db.Query("t").Where("val", Between(55, 56)).WithOptions(ScanOptions{Path: path}).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +481,7 @@ func TestInsertOrderedScanSeesDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := db.Scan("t", "val", 0, 40, ScanOptions{Ordered: true})
+	rows, err := db.Query("t").Where("val", Between(0, 40)).WithOptions(ScanOptions{Ordered: true}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

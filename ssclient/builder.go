@@ -4,20 +4,21 @@ import (
 	"context"
 
 	"smoothscan"
-	"smoothscan/internal/qbridge"
+	"smoothscan/internal/qspec"
 )
 
-// The remote query builder IS the engine's builder: Conn.Query wraps a
-// detached smoothscan.Query and every method delegates to it, so the
-// same Where / Join / Select / GroupBy / OrderBy / Limit / WithOptions
-// call sites — with the same predicate, aggregate and Param types —
-// compile against a *smoothscan.DB, a *smoothscan.ShardedDB or a
-// *ssclient.Conn. At Run/Prepare the query serialises to a wire spec;
-// all semantic validation (unknown tables and columns, ambiguous
-// conjuncts) happens server-side, where the schema lives, while
-// builder-level mistakes (bad argument types, Select set twice) are
-// recorded by the engine builder and reported from Run/Prepare — the
-// same error-channel contract as the embedded engine.
+// The remote query builder is the engine's own: Query embeds the same
+// qspec.Builder that smoothscan.Query and smoothscan.ShardedQuery
+// embed, so the Where / Join / Select / GroupBy / OrderBy / Limit /
+// WithOptions call sites — with the same predicate, aggregate and
+// Param types — compile against a *smoothscan.DB, a
+// *smoothscan.ShardedDB or a *ssclient.Conn. At Run/Prepare the query
+// serialises to a wire spec; all semantic validation (unknown tables
+// and columns, ambiguous conjuncts) happens server-side, where the
+// schema lives, while builder-level mistakes (bad argument types,
+// Select set twice) are recorded by the shared builder and reported
+// from Run/Prepare — the same error-channel contract as the embedded
+// engine.
 
 // Aliases for the engine's argument, predicate and aggregate types.
 // New code can use the smoothscan package directly; these keep
@@ -71,77 +72,29 @@ func Max(col string) Agg { return smoothscan.Max(col) }
 // Conn.Query, chain the builder methods, then Run it (ad hoc) or
 // Prepare it into a Stmt.
 type Query struct {
+	qspec.Builder[*Query]
 	c *Conn
-	q *smoothscan.Query
 }
 
 // Query starts a composable query over the named server-side table.
 func (c *Conn) Query(table string) *Query {
-	return &Query{c: c, q: smoothscan.NewQuery(table)}
-}
-
-// Where adds a conjunctive predicate on a column.
-func (q *Query) Where(col string, p Pred) *Query {
-	q.q.Where(col, p)
-	return q
-}
-
-// Join adds an inner equi-join with another table (see
-// smoothscan.Query.Join for the semantics).
-func (q *Query) Join(table, leftCol, rightCol string) *Query {
-	q.q.Join(table, leftCol, rightCol)
-	return q
-}
-
-// JoinWithOptions is Join with explicit ScanOptions for the joined
-// table's access path.
-func (q *Query) JoinWithOptions(table, leftCol, rightCol string, opts smoothscan.ScanOptions) *Query {
-	q.q.JoinWithOptions(table, leftCol, rightCol, opts)
-	return q
-}
-
-// Select projects the output onto the named columns, in order.
-func (q *Query) Select(cols ...string) *Query {
-	q.q.Select(cols...)
-	return q
-}
-
-// GroupBy groups rows by a column and computes the aggregates per
-// group.
-func (q *Query) GroupBy(col string, aggs ...Agg) *Query {
-	q.q.GroupBy(col, aggs...)
-	return q
-}
-
-// OrderBy orders the output by the named column, ascending.
-func (q *Query) OrderBy(col string) *Query {
-	q.q.OrderBy(col)
-	return q
-}
-
-// Limit caps the number of output rows; it accepts an integer or a
-// Param placeholder.
-func (q *Query) Limit(n any) *Query {
-	q.q.Limit(n)
-	return q
-}
-
-// WithOptions applies ScanOptions to the driving table access. The
-// options type is shared with the embedded engine, so a workload
-// configuration moves between local and remote execution unchanged.
-func (q *Query) WithOptions(opts smoothscan.ScanOptions) *Query {
-	q.q.WithOptions(opts)
+	q := &Query{c: c}
+	q.Builder = qspec.NewBuilder(q, table)
 	return q
 }
 
 // Run executes the query ad hoc (literals inline) and opens a result
 // stream. Parameterized queries must go through Prepare.
 func (q *Query) Run(ctx context.Context) (*Rows, error) {
-	spec, err := qbridge.Spec(q.q)
+	return q.c.run(ctx, qspec.Of(&q.Builder))
+}
+
+func (c *Conn) run(ctx context.Context, q *qspec.Spec) (*Rows, error) {
+	spec, err := q.Wire()
 	if err != nil {
 		return nil, err
 	}
-	r, err := q.c.Conn.RunSpec(ctx, spec)
+	r, err := c.Conn.RunSpec(ctx, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -10,13 +10,14 @@
 //	for rows.Next() { use(rows.Row()) }
 //	rows.Close()
 //
-// The query builder is the engine's own: Conn.Query composes a real
-// smoothscan.Query (via smoothscan.NewQuery), so predicates,
-// aggregates and Param placeholders are the root package's types —
-// smoothscan.Between works identically at a local and a remote call
-// site — and ssclient's Between/Param/Sum aliases exist only for
-// backward compatibility. The transport itself lives in
-// internal/client, shared with the engine's remote shard driver.
+// The query builder is the engine's own: Query embeds the shared
+// builder of internal/qspec, the one smoothscan.Query embeds, so
+// predicates, aggregates and Param placeholders are the root package's
+// types — smoothscan.Between works identically at a local and a remote
+// call site — and ssclient's Between/Param/Sum aliases exist only for
+// backward compatibility. The query is serialised by the same package,
+// and the transport lives in internal/client, both shared with the
+// engine's remote shard driver.
 //
 // Error classes survive the wire: a remote error unwraps to the same
 // typed sentinels the embedded engine returns, so errors.Is and
@@ -38,7 +39,7 @@ import (
 
 	"smoothscan"
 	"smoothscan/internal/client"
-	"smoothscan/internal/qbridge"
+	"smoothscan/internal/qspec"
 	"smoothscan/internal/wire"
 )
 
@@ -113,7 +114,11 @@ func Dial(addr string) (*Conn, error) {
 // errors (unknown tables or columns, bad argument types) surface here,
 // as with DB.Prepare.
 func (c *Conn) Prepare(q *Query) (*Stmt, error) {
-	spec, err := qbridge.Spec(q.q)
+	return c.prepare(qspec.Of(&q.Builder))
+}
+
+func (c *Conn) prepare(q *qspec.Spec) (*Stmt, error) {
+	spec, err := q.Wire()
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"smoothscan"
+	"smoothscan/internal/qspec"
 )
 
 // A Conn is a smoothscan.Engine: the same harness code that drives a
@@ -18,34 +19,15 @@ var (
 	_ smoothscan.Cursor = (*Rows)(nil)
 )
 
-// connBuilder adapts *Query to smoothscan.Builder.
-type connBuilder struct{ q *Query }
+// connBuilder is the Builder Conn.Table hands out: the shared builder,
+// typed to chain as a smoothscan.Builder.
+type connBuilder struct {
+	qspec.Builder[smoothscan.Builder]
+	c *Conn
+}
 
-func (b connBuilder) Where(col string, p smoothscan.Pred) smoothscan.Builder {
-	b.q.Where(col, p)
-	return b
-}
-func (b connBuilder) Join(table, leftCol, rightCol string) smoothscan.Builder {
-	b.q.Join(table, leftCol, rightCol)
-	return b
-}
-func (b connBuilder) JoinWithOptions(table, leftCol, rightCol string, opts smoothscan.ScanOptions) smoothscan.Builder {
-	b.q.JoinWithOptions(table, leftCol, rightCol, opts)
-	return b
-}
-func (b connBuilder) Select(cols ...string) smoothscan.Builder { b.q.Select(cols...); return b }
-func (b connBuilder) GroupBy(col string, aggs ...smoothscan.Agg) smoothscan.Builder {
-	b.q.GroupBy(col, aggs...)
-	return b
-}
-func (b connBuilder) OrderBy(col string) smoothscan.Builder { b.q.OrderBy(col); return b }
-func (b connBuilder) Limit(n any) smoothscan.Builder        { b.q.Limit(n); return b }
-func (b connBuilder) WithOptions(opts smoothscan.ScanOptions) smoothscan.Builder {
-	b.q.WithOptions(opts)
-	return b
-}
-func (b connBuilder) Run(ctx context.Context) (smoothscan.Cursor, error) {
-	r, err := b.q.Run(ctx)
+func (b *connBuilder) Run(ctx context.Context) (smoothscan.Cursor, error) {
+	r, err := b.c.run(ctx, qspec.Of(&b.Builder))
 	if err != nil {
 		return nil, err
 	}
@@ -66,16 +48,20 @@ func (p stmtPrepared) Run(ctx context.Context, b smoothscan.Bind) (smoothscan.Cu
 func (p stmtPrepared) Close() error { return p.st.Close() }
 
 // Table implements smoothscan.Engine.
-func (c *Conn) Table(name string) smoothscan.Builder { return connBuilder{q: c.Query(name)} }
+func (c *Conn) Table(name string) smoothscan.Builder {
+	b := &connBuilder{c: c}
+	b.Builder = qspec.NewBuilder[smoothscan.Builder](b, name)
+	return b
+}
 
 // PrepareQuery implements smoothscan.Engine; the Builder must come
 // from this Conn's Table.
 func (c *Conn) PrepareQuery(b smoothscan.Builder) (smoothscan.PreparedQuery, error) {
-	cb, ok := b.(connBuilder)
-	if !ok || cb.q.c != c {
+	cb, ok := b.(*connBuilder)
+	if !ok || cb.c != c {
 		return nil, fmt.Errorf("ssclient: PrepareQuery: builder %T was not created by this connection's Table", b)
 	}
-	st, err := c.Prepare(cb.q)
+	st, err := c.prepare(qspec.Of(&cb.Builder))
 	if err != nil {
 		return nil, err
 	}

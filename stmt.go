@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"smoothscan/internal/qspec"
 )
 
 // ErrUnboundParam is returned (wrapped) when a query references a
@@ -62,6 +64,10 @@ func (db *DB) Prepare(q *Query) (*Stmt, error) {
 	if q.db != db {
 		return nil, fmt.Errorf("smoothscan: Prepare of a query built on a different DB")
 	}
+	return db.prepare(qspec.Of(&q.Builder))
+}
+
+func (db *DB) prepare(q *qspec.Spec) (*Stmt, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	qt, lits, _, err := db.templateFor(q)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"smoothscan/internal/qspec"
 )
 
 // buildWideDBWith is buildWideDB with explicit Options (plan-cache
@@ -348,16 +350,10 @@ func TestStmtParamErrors(t *testing.T) {
 		t.Errorf("Explain extra bind = %v, want ErrUnknownParam", err)
 	}
 
-	// Type mismatches are recorded at construction and surface from
-	// Run/Explain/Prepare.
-	if _, err := db.Query("t").Where("val", Eq("five")).Run(context.Background()); !errors.Is(err, ErrArgType) {
-		t.Errorf("Eq(string) = %v, want ErrArgType", err)
-	}
+	// Type mismatches are covered on every surface by
+	// TestBuilderErrorParity; Explain reports them too.
 	if _, err := db.Query("t").Limit(3.5).Explain(); !errors.Is(err, ErrArgType) {
 		t.Errorf("Limit(float) = %v, want ErrArgType", err)
-	}
-	if _, err := db.Prepare(db.Query("t").Where("val", Gt(uint64(1)<<63))); !errors.Is(err, ErrArgType) {
-		t.Errorf("overflowing uint64 = %v, want ErrArgType", err)
 	}
 
 	// Bad parameter names.
@@ -582,7 +578,7 @@ func TestPreparedBindAllocs(t *testing.T) {
 
 	compileAllocs := testing.AllocsPerRun(200, func() {
 		db.mu.RLock()
-		if _, err := lq.compile(); err != nil {
+		if _, err := db.compile(qspec.Of(&lq.Builder)); err != nil {
 			t.Fatal(err)
 		}
 		db.mu.RUnlock()
