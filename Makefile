@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build perfbench-build test race bench-smoke bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke
+.PHONY: check fmt vet build perfbench-build test race race-stress bench-smoke bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke
 
 ## check: everything CI runs — format, vet, build (incl. the perfbench
 ## module), tests (incl. -race), bench smoke, the facade-equivalence
@@ -35,6 +35,12 @@ test:
 ## and session tests only prove anything when this runs).
 race:
 	$(GO) test -race ./...
+
+## race-stress: the concurrency-heavy packages under the race detector,
+## repeated and at several GOMAXPROCS settings, so schedule-dependent
+## flakes surface in CI. Its own CI job; not part of check.
+race-stress:
+	$(GO) test -race -count=3 -cpu 1,2,4 . ./internal/server ./internal/parallel ./internal/bufferpool
 
 ## bench-smoke: one iteration of every benchmark so they cannot rot.
 bench-smoke:

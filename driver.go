@@ -76,7 +76,7 @@ type shardStmt interface {
 
 // localDriver runs a shard's queries against its in-process DB — the
 // only driver kind before remote topologies, and still the N=1
-// equivalence baseline: its cursor forwards fillBatch/Next/Err/Close
+// equivalence baseline: its cursor forwards fill/Next/Err/Close
 // verbatim, so a local sharded execution is byte-identical to the
 // pre-driver engine.
 type localDriver struct {
@@ -109,7 +109,7 @@ type localCursor struct {
 	rows *Rows
 }
 
-func (c *localCursor) fill(b *tuple.Batch) (int, error) { return c.rows.fillBatch(b) }
+func (c *localCursor) fill(b *tuple.Batch) (int, error) { return c.rows.fill(b) }
 
 func (c *localCursor) next() (tuple.Row, bool, error) {
 	if c.rows.Next() {

@@ -126,23 +126,21 @@ func cursor[R Cursor](r R, err error) (Cursor, error) {
 	return r, nil
 }
 
-// stmtPrepared adapts *Stmt to PreparedQuery.
-type stmtPrepared struct{ st *Stmt }
-
-func (p stmtPrepared) Params() []string { return p.st.Params() }
-func (p stmtPrepared) Run(ctx context.Context, b Bind) (Cursor, error) {
-	return cursor(p.st.Run(ctx, b))
+// statement is the method set *Stmt and *ShardedStmt share, typed by
+// their result stream.
+type statement[R Cursor] interface {
+	Params() []string
+	Run(ctx context.Context, b Bind) (R, error)
+	Close() error
 }
-func (p stmtPrepared) Close() error { return p.st.Close() }
 
-// shardedPrepared adapts *ShardedStmt to PreparedQuery.
-type shardedPrepared struct{ st *ShardedStmt }
+// prepared adapts a concrete statement to PreparedQuery, widening its
+// Run to return a Cursor.
+type prepared[R Cursor] struct{ statement[R] }
 
-func (p shardedPrepared) Params() []string { return p.st.Params() }
-func (p shardedPrepared) Run(ctx context.Context, b Bind) (Cursor, error) {
-	return cursor(p.st.Run(ctx, b))
+func (p prepared[R]) Run(ctx context.Context, b Bind) (Cursor, error) {
+	return cursor(p.statement.Run(ctx, b))
 }
-func (p shardedPrepared) Close() error { return p.st.Close() }
 
 // Table implements Engine.
 func (db *DB) Table(name string) Builder {
@@ -162,7 +160,7 @@ func (db *DB) PrepareQuery(b Builder) (PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return stmtPrepared{st: st}, nil
+	return prepared[*Rows]{st}, nil
 }
 
 // Close implements Engine. A DB holds no resources beyond its own
@@ -188,5 +186,5 @@ func (s *ShardedDB) PrepareQuery(b Builder) (PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return shardedPrepared{st: st}, nil
+	return prepared[*ShardedRows]{st}, nil
 }

@@ -114,10 +114,8 @@ type ExecStats struct {
 // partial); after Close the snapshot is final, including the I/O
 // delta frozen at Close time.
 func (r *Rows) ExecStats() ExecStats {
-	st := ExecStats{}
-	if r.closed {
-		st.IO = r.ioDelta
-	} else if r.db != nil {
+	st := ExecStats{IO: r.ioDelta}
+	if !r.closed {
 		st.IO = r.db.dev.Stats().Sub(r.ioStart)
 	}
 	switch {
@@ -140,17 +138,8 @@ func (r *Rows) ExecStats() ExecStats {
 	for _, j := range r.joins {
 		st.Joins = append(st.Joins, j.JoinStats())
 	}
-	for _, c := range r.counters {
-		st.Operators = append(st.Operators, OperatorStats{Name: c.name, Rows: c.rows, Batches: c.batches})
-	}
-	if n := len(r.counters); n > 0 {
-		st.RowsReturned = r.counters[n-1].rows
-	}
-	st.PlanCacheHit = r.planCached
-	st.ResultCache = ResultCacheExec{Hit: r.cacheHit, Bytes: r.cacheBytes, Age: r.cacheAge}
-	st.Retries = st.IO.Retries
-	st.FaultsSeen = st.IO.Faults + st.IO.Corruptions + st.IO.LatencySpikes
-	if r.compiled != nil && len(r.compiled.degraded) > 0 {
+	r.statsTail(&st)
+	if len(r.compiled.degraded) > 0 {
 		st.Degraded = append([]string(nil), r.compiled.degraded...)
 	}
 	return st
@@ -255,31 +244,8 @@ func (r *ShardedRows) ExecStats() ExecStats {
 		st.IO = addIO(st.IO, shards[i].IO)
 	}
 	st.Shards = shards
-	for _, c := range r.counters {
-		st.Operators = append(st.Operators, OperatorStats{Name: c.name, Rows: c.rows, Batches: c.batches})
-	}
-	if n := len(r.counters); n > 0 {
-		st.RowsReturned = r.counters[n-1].rows
-	}
-	st.PlanCacheHit = r.planCached
-	st.ResultCache = ResultCacheExec{Hit: r.cacheHit, Bytes: r.cacheBytes, Age: r.cacheAge}
-	st.Retries = st.IO.Retries
-	st.FaultsSeen = st.IO.Faults + st.IO.Corruptions + st.IO.LatencySpikes
+	r.statsTail(&st)
 	return st
-}
-
-// Column returns the current row's value for the named column,
-// distinguishing the two miss reasons that Col folds into one false:
-// a column the table never had (ErrUnknownColumn) and a column the
-// query projected away via Select or GroupBy (ErrNotSelected).
-func (r *Rows) Column(name string) (int64, error) {
-	if i := r.schema.ColIndex(name); i >= 0 {
-		return r.cur.Int(i), nil
-	}
-	if r.baseSchema != nil && r.baseSchema.ColIndex(name) >= 0 {
-		return 0, fmt.Errorf("%w: %q (use Select/GroupBy to include it)", ErrNotSelected, name)
-	}
-	return 0, fmt.Errorf("%w: %q", ErrUnknownColumn, name)
 }
 
 // opCounter accumulates one operator's output counts. It is written

@@ -296,7 +296,7 @@ func (db *DB) degradeAndReopen(ctx context.Context, cq *compiledQuery, cause err
 // success the Rows transparently switches to the degraded plan's
 // operator tree and reports the fallbacks via ExecStats.Degraded.
 func (r *Rows) tryDegrade(err error) bool {
-	if r.delivered || r.closed || r.db == nil || r.compiled == nil || !IsFaultError(err) {
+	if r.delivered || r.closed || !IsFaultError(err) {
 		return false
 	}
 	r.db.mu.RLock()

@@ -8,9 +8,9 @@
 // the disk). The paper evaluates cold runs; Reset restores that state
 // between queries.
 //
-// Pages are immutable at query time (the engine is bulk-load-then-read,
-// like the paper's experiments), so frames hold read-only aliases of
-// device memory and eviction never writes back.
+// Frames hold read-only aliases of device memory and eviction never
+// writes back: the device writes pages copy-on-write, so a page slice
+// never changes once read, and writers invalidate the cached copy.
 //
 // A Pool is safe for concurrent use: the frame table is guarded by one
 // mutex shared by every view of the pool. A Pool value is itself a
@@ -71,6 +71,12 @@ type state struct {
 	// schedule.
 	loading map[key]bool
 	loaded  sync.Cond
+	// invalidations counts InvalidatePage/InvalidateSpace calls. A read
+	// that drops mu for the device access inserts what it read only if
+	// the count has not moved meanwhile: an invalidation landing inside
+	// that window means the bytes may predate a write, and caching them
+	// would undo the invalidation.
+	invalidations uint64
 }
 
 // Pool is a view of a fixed-capacity page cache: the cache itself is
@@ -177,11 +183,12 @@ func (p *Pool) Get(space disk.SpaceID, pageNo int64) ([]byte, error) {
 	}
 	st.stats.Misses++
 	st.loading[k] = true
+	inv := st.invalidations
 	st.mu.Unlock()
 	data, err := p.readPage(space, pageNo)
 	st.mu.Lock()
 	delete(st.loading, k)
-	if err == nil {
+	if err == nil && st.invalidations == inv {
 		st.insert(k, data)
 	}
 	st.loaded.Broadcast()
@@ -227,6 +234,7 @@ func (p *Pool) GetRun(space disk.SpaceID, start, n int64, scratch [][]byte) ([][
 		// (and for the caller's loop). insert tolerates pages raced in
 		// by another view meanwhile, and a single-threaded caller sees
 		// the classic probe/read/insert order unchanged.
+		inv := st.invalidations
 		st.mu.Unlock()
 		pages, err := p.readRun(space, runStart, end-runStart)
 		st.mu.Lock()
@@ -235,7 +243,9 @@ func (p *Pool) GetRun(space disk.SpaceID, start, n int64, scratch [][]byte) ([][
 		}
 		for i, data := range pages {
 			pageNo := runStart + int64(i)
-			st.insert(key{space, pageNo}, data)
+			if st.invalidations == inv {
+				st.insert(key{space, pageNo}, data)
+			}
 			out[pageNo-start] = data
 		}
 		runStart = -1
@@ -410,11 +420,12 @@ func (p *Pool) Reset() {
 }
 
 // InvalidatePage drops one cached page, if present; callers must
-// invoke it after an in-place page write (heap inserts).
+// invoke it after a page write (heap inserts).
 func (p *Pool) InvalidatePage(space disk.SpaceID, pageNo int64) {
 	st := p.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.invalidations++
 	k := key{space, pageNo}
 	if idx, ok := st.table[k]; ok {
 		st.frames[idx] = frame{}
@@ -428,6 +439,7 @@ func (p *Pool) InvalidateSpace(space disk.SpaceID) {
 	st := p.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.invalidations++
 	for k, idx := range st.table {
 		if k.space == space {
 			st.frames[idx] = frame{}

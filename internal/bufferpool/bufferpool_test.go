@@ -3,6 +3,7 @@ package bufferpool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -307,5 +308,57 @@ func TestPoolInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadRacingInvalidateNeverCachesStalePage lands a page write and
+// its invalidation inside a GetRun's unlocked device-read window. The
+// device writes copy-on-write, so the run still holds the old bytes;
+// the pool may hand them to this caller but must not cache them, or
+// every later reader is served the page as it was before the write.
+// The window is widened by checksum verification (a fault policy with
+// no rules is attached) over a long run of full-size pages.
+func TestReadRacingInvalidateNeverCachesStalePage(t *testing.T) {
+	const pages, target = 256, 200
+	d := disk.NewDevice(disk.HDD)
+	sp := d.CreateSpace()
+	version := func(v byte) []byte {
+		page := make([]byte, disk.HDD.PageSize)
+		page[0] = v
+		disk.StampChecksum(page)
+		return page
+	}
+	for i := 0; i < pages; i++ {
+		if _, err := d.AppendPage(sp, version(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.SetFaultPolicy(disk.NewFaultPolicy(1))
+	d.ResetStats()
+	p := New(d, pages)
+
+	done := make(chan error, 1)
+	go func(view *Pool) {
+		_, err := view.GetRun(sp, 0, pages, nil)
+		done <- err
+	}(p.View())
+	// The device counts the run's request before it returns: from here
+	// the reader holds the old bytes and is verifying or inserting them.
+	for d.Stats().Requests == 0 {
+		runtime.Gosched()
+	}
+	if err := d.WritePage(sp, target, version(2)); err != nil {
+		t.Fatal(err)
+	}
+	p.InvalidatePage(sp, target)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Get(sp, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 2 {
+		t.Fatalf("pool serves page %d as version %d after its write and invalidation, want 2", target, got[0])
 	}
 }

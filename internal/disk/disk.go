@@ -275,7 +275,9 @@ func (d *Device) AppendPage(id SpaceID, data []byte) (int64, error) {
 	return int64(len(sp.pages) - 1), nil
 }
 
-// WritePage overwrites an existing page.
+// WritePage overwrites an existing page copy-on-write: it installs a
+// fresh copy of data, so page slices handed out by earlier reads (the
+// buffer pool serves them zero-copy to open scans) never change.
 func (d *Device) WritePage(id SpaceID, pageNo int64, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -289,7 +291,7 @@ func (d *Device) WritePage(id SpaceID, pageNo int64, data []byte) error {
 	if len(data) != d.profile.PageSize {
 		return fmt.Errorf("disk: write of %d bytes, want page size %d", len(data), d.profile.PageSize)
 	}
-	copy(sp.pages[pageNo], data)
+	sp.pages[pageNo] = append([]byte(nil), data...)
 	d.stats.PagesWritten++
 	return nil
 }

@@ -61,6 +61,37 @@ func TestWritePage(t *testing.T) {
 	}
 }
 
+// TestWritePageCopyOnWrite: a page slice handed out before a write
+// keeps its bytes — open scans read pages zero-copy through the buffer
+// pool while inserts rewrite them — and the caller's buffer is not
+// retained either.
+func TestWritePageCopyOnWrite(t *testing.T) {
+	d := newTestDevice(t)
+	sp := d.CreateSpace()
+	if _, err := d.AppendPage(sp, fill(1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := d.ReadPage(sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := fill(9, 64)
+	if err := d.WritePage(sp, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 7
+	if !bytes.Equal(before, fill(1, 64)) {
+		t.Errorf("slice read before the write changed to %v", before[:4])
+	}
+	after, err := d.ReadPage(sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, fill(9, 64)) {
+		t.Errorf("read after the write = %v, want the written page", after[:4])
+	}
+}
+
 func TestWrongPageSizeRejected(t *testing.T) {
 	d := newTestDevice(t)
 	sp := d.CreateSpace()

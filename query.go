@@ -1201,7 +1201,8 @@ func (db *DB) startRows(ctx context.Context, cq *compiledQuery) (*Rows, error) {
 	cache := db.cacheable(cq)
 	if cache {
 		if v, ok := db.resCache.Lookup(cq.resKey, db.epochOfLocked); ok {
-			return db.serveCached(ctx, cq, v), nil
+			db.openScans.Add(1)
+			return &Rows{stream: cachedStream(ctx, cq, v, cq.planCached), db: db, compiled: cq, ioStart: db.dev.Stats()}, nil
 		}
 	}
 	bq, err := cq.build(db, ctx)
@@ -1222,23 +1223,26 @@ func (db *DB) startRows(ctx context.Context, cq *compiledQuery) (*Rows, error) {
 		}
 	}
 	rows := &Rows{
-		schema:     cq.out,
-		baseSchema: cq.base,
-		ctx:        ctx,
-		counters:   bq.counters,
-		compiled:   cq,
-		choice:     cq.driving().choice,
-		op:         bq.root,
-		smooth:     bq.smooth,
-		smoothAll:  bq.workers,
-		joins:      bq.joins,
-		planCached: cq.planCached,
-		ioStart:    ioStart,
+		stream: stream{
+			op:         bq.root,
+			schema:     cq.out,
+			baseSchema: cq.base,
+			ctx:        ctx,
+			counters:   bq.counters,
+			planCached: cq.planCached,
+		},
+		db:        db,
+		compiled:  cq,
+		choice:    cq.driving().choice,
+		smooth:    bq.smooth,
+		smoothAll: bq.workers,
+		joins:     bq.joins,
+		ioStart:   ioStart,
 	}
+	rows.recover = rows.tryDegrade
 	if cache && len(cq.degraded) == 0 {
 		rows.acc = newResAccum(cq.resKey, cq.resEpochs, db.resCache.EntryCap(), cq.out.NumCols())
 	}
-	rows.db = db
 	db.openScans.Add(1)
 	return rows, nil
 }

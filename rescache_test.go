@@ -11,6 +11,8 @@ package smoothscan_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,6 +42,22 @@ func drainCount(t *testing.T, cur smoothscan.Cursor, err error) (int, smoothscan
 		t.Fatal(err)
 	}
 	return n, st
+}
+
+// cancelledRun runs one execution under an already-cancelled context:
+// whether its result is cached or not, Run itself must fail with
+// context.Canceled rather than hand out a stream that drains nothing.
+func cancelledRun[R smoothscan.Cursor](t *testing.T, name string, run func(ctx context.Context) (R, error)) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cur, err := run(ctx)
+	if err == nil {
+		cur.Close()
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("%s: Run on a cancelled context = %v, want context.Canceled", name, err)
+	}
 }
 
 // TestResultCacheLocalLifecycle walks the full local lifecycle:
@@ -229,6 +247,18 @@ func TestResultCacheAdhocPreparedShared(t *testing.T) {
 	if _, st := drainCount(t, cur, err); !st.ResultCache.Hit {
 		t.Fatalf("Between(x, x+1) did not share Eq(x)'s entry: %+v", db.ResultCacheStats())
 	}
+
+	// A cancelled context fails Run on a hit ([40, 60] is cached) as on
+	// a miss ([400, 410] is not), ad hoc and prepared alike.
+	for _, r := range [][2]int64{{40, 60}, {400, 410}} {
+		lo, hi := r[0], r[1]
+		cancelledRun(t, fmt.Sprintf("ad-hoc [%d,%d]", lo, hi), func(ctx context.Context) (*smoothscan.Rows, error) {
+			return db.Query(loadgen.Table).Where(loadgen.IndexedCol, smoothscan.Between(lo, hi)).Run(ctx)
+		})
+		cancelledRun(t, fmt.Sprintf("prepared [%d,%d]", lo, hi), func(ctx context.Context) (*smoothscan.Rows, error) {
+			return stmt.Run(ctx, smoothscan.Bind{"lo": lo, "hi": hi})
+		})
+	}
 }
 
 // TestResultCacheSharded exercises the coordinator-level tier: a hit
@@ -327,6 +357,19 @@ func TestResultCacheSharded(t *testing.T) {
 	}
 	if !strings.Contains(plan.String(), "served from result cache") {
 		t.Fatalf("sharded plan rendering missing cache marker:\n%s", plan)
+	}
+
+	// A cancelled context fails Run on a coordinator hit ([30, 40] and
+	// [10, 20] are cached) as on a miss ([50, 60] is not), ad hoc and
+	// prepared alike.
+	for _, r := range [][2]int64{{10, 20}, {30, 40}, {50, 60}} {
+		lo, hi := r[0], r[1]
+		cancelledRun(t, fmt.Sprintf("sharded ad-hoc [%d,%d]", lo, hi), func(ctx context.Context) (*smoothscan.ShardedRows, error) {
+			return s.Query("ev").Where("val", smoothscan.Between(lo, hi)).Run(ctx)
+		})
+		cancelledRun(t, fmt.Sprintf("sharded prepared [%d,%d]", lo, hi), func(ctx context.Context) (*smoothscan.ShardedRows, error) {
+			return stmt.Run(ctx, smoothscan.Bind{"lo": lo, "hi": hi})
+		})
 	}
 }
 

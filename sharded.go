@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"smoothscan/internal/exec"
 	"smoothscan/internal/parallel"
@@ -77,7 +76,7 @@ type ShardedDB struct {
 	// resCache is the coordinator-level result-cache tier: repeated
 	// sharded queries are served above scatter-gather with zero shard
 	// traffic. nil when Options.ResultCacheBytes leaves the tier
-	// disabled. See sharded_rescache.go.
+	// disabled. See rescache.go.
 	resCache *rescache.Cache
 	mu       sync.RWMutex // guards parts
 	parts    map[string]shard.Partitioning
@@ -812,28 +811,12 @@ type runnerset struct {
 	side       func(ctx context.Context, input, si int) (shardCursor, error)
 }
 
-// startSharded builds and opens the gather tree: one worker per
+// startSharded builds and opens sr's gather tree: one worker per
 // active shard feeding the parallel exchange, coordinator stages above
 // it. The broadcast side, when present, is drained first and
 // replicated into every worker's join.
-func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runnerset) (*ShardedRows, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sr := &ShardedRows{
-		s:          s,
-		se:         se,
-		schema:     se.out,
-		ctx:        ctx,
-		planCached: run.planCached,
-	}
-	sr.ioStart = make([]IOStats, len(s.shards))
-	for i, db := range s.shards {
-		sr.ioStart[i] = db.dev.Stats()
-	}
+func (s *ShardedDB) startSharded(ctx context.Context, sr *ShardedRows, run runnerset) error {
+	se := sr.se
 	count := func(name string, op exec.Operator) exec.Operator {
 		c := &opCounter{name: name}
 		sr.counters = append(sr.counters, c)
@@ -851,7 +834,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 			for _, si := range se.bcActive {
 				cur, err := run.side(ctx, se.bcInput, si)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				for {
 					row, ok, rerr := cur.next()
@@ -865,7 +848,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 					err = cerr
 				}
 				if err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -894,7 +877,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 				}
 				j, err := plan.BuildJoin(spec)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				op = j
 			} else {
@@ -914,7 +897,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 			Ctx:     ctx,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		name := fmt.Sprintf("gather[%d]", len(workers))
 		if se.ordered {
@@ -925,7 +908,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 		if se.selIdx != nil {
 			p, err := exec.NewColProject(cur, se.selIdx)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cur = count("project", p)
 		}
@@ -953,9 +936,9 @@ func (s *ShardedDB) startSharded(ctx context.Context, se *shardExec, run runners
 		// them on failure; this sweeps up pass-through stages. Close is
 		// idempotent everywhere in the tree.
 		_ = cur.Close()
-		return nil, err
+		return err
 	}
-	return sr, nil
+	return nil
 }
 
 // Run compiles and starts the sharded query: scatter to the unpruned
@@ -1016,24 +999,7 @@ func (s *ShardedDB) run(ctx context.Context, q *qspec.Spec) (*ShardedRows, error
 	if err != nil {
 		return nil, err
 	}
-	planFn := func() (*ShardedPlan, error) { return s.shardedPlan(se, s.shardPlans(q, qt, se)) }
-	// Coordinator result-cache tier: a hit serves the materialized
-	// result with every shard untouched; a miss captures the epochs
-	// now — before any shard worker starts — so a write interleaving
-	// with the gather fails the store-time re-check.
-	cache := s.cacheableSharded(se)
-	if cache {
-		if v, ok := s.resCache.Lookup(se.cq0.resKey, s.epochOf); ok {
-			sr := s.serveShardedCached(ctx, se, v, hit)
-			sr.planFn = planFn
-			return sr, nil
-		}
-	}
-	var eps map[string]uint64
-	if cache {
-		eps = s.epochsFor(se.cq0)
-	}
-	run := runnerset{
+	return s.execute(ctx, se, runnerset{
 		planCached: hit,
 		shard: func(ctx context.Context, si int) (shardCursor, error) {
 			return s.drivers[si].run(ctx, perShardSpec(q))
@@ -1041,169 +1007,85 @@ func (s *ShardedDB) run(ctx context.Context, q *qspec.Spec) (*ShardedRows, error
 		side: func(ctx context.Context, input, si int) (shardCursor, error) {
 			return s.drivers[si].run(ctx, sideSpec(q, input, qt.pt))
 		},
+	}, func() (*ShardedPlan, error) { return s.shardedPlan(se, s.shardPlans(q, qt, se)) })
+}
+
+// execute is the one execution step behind every sharded run, ad hoc
+// and prepared alike: ctx check, I/O window start, the coordinator
+// result-cache lookup, then the gather. A cache hit serves the
+// materialized result with every shard untouched; a cacheable miss
+// captures the epochs before any shard worker starts, so a write
+// interleaving with the gather fails the store-time re-check.
+func (s *ShardedDB) execute(ctx context.Context, se *shardExec, run runnerset, planFn func() (*ShardedPlan, error)) (*ShardedRows, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	sr, err := s.startSharded(ctx, se, run)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cache {
-		sr.acc = newResAccum(se.cq0.resKey, eps, s.resCache.EntryCap(), se.out.NumCols())
+	sr := &ShardedRows{s: s, se: se, planFn: planFn, ioStart: make([]IOStats, len(s.shards))}
+	for i, db := range s.shards {
+		sr.ioStart[i] = db.dev.Stats()
 	}
-	sr.planFn = planFn
+	cache := s.cacheableSharded(se)
+	if cache {
+		if v, ok := s.resCache.Lookup(se.cq0.resKey, s.epochOf); ok {
+			sr.stream = cachedStream(ctx, se.cq0, v, run.planCached)
+			return sr, nil
+		}
+	}
+	sr.stream = stream{schema: se.out, baseSchema: se.cq0.base, ctx: ctx, planCached: run.planCached}
+	if cache {
+		sr.acc = newResAccum(se.cq0.resKey, s.epochsFor(se.cq0), s.resCache.EntryCap(), se.out.NumCols())
+	}
+	if err := s.startSharded(ctx, sr, run); err != nil {
+		return nil, err
+	}
 	return sr, nil
 }
 
-// ShardedRows iterates a sharded query result, mirroring Rows: a
-// batched drain of the coordinator tree, one owning goroutine, always
-// Close it. Per-shard fault degradation happens inside each shard's
-// own Rows (one shard's fault degrades that shard, not the query).
+// ShardedRows iterates a sharded query result through the same stream
+// as Rows: a batched drain of the coordinator tree, one owning
+// goroutine, always Close it. Per-shard fault degradation happens
+// inside each shard's own Rows (one shard's fault degrades that shard,
+// not the query).
 type ShardedRows struct {
-	s          *ShardedDB
-	se         *shardExec
-	op         exec.Operator
-	schema     *tuple.Schema
-	ctx        context.Context
-	batch      *tuple.Batch
-	pos        int
-	cur        tuple.Row
-	err        error
-	adapters   []*shardRowsOp
-	counters   []*opCounter
-	ioStart    []IOStats
-	ioDelta    []IOStats
-	planCached bool
-	planFn     func() (*ShardedPlan, error)
-	plan       *ShardedPlan
-	done       bool
-	closed     bool
-	closeErr   error
-
-	// Coordinator result-cache tier state: acc tees delivered batches
-	// toward a store-on-Close; the cache* fields describe a served hit
-	// (see sharded_rescache.go).
-	acc        *resAccum
-	cacheHit   bool
-	cacheBytes int64
-	cacheAge   time.Duration
+	stream
+	s        *ShardedDB
+	se       *shardExec
+	adapters []*shardRowsOp
+	ioStart  []IOStats
+	ioDelta  []IOStats
+	planFn   func() (*ShardedPlan, error)
+	plan     *ShardedPlan
 }
-
-// Next advances to the next row; false at end-of-stream or on error
-// (check Err).
-func (r *ShardedRows) Next() bool {
-	if r.done || r.err != nil {
-		return false
-	}
-	if r.batch == nil {
-		r.batch = tuple.NewBatchFor(r.schema, exec.DefaultBatchSize)
-	}
-	for r.pos >= r.batch.Len() {
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.err = err
-				r.done = true
-				return false
-			}
-		}
-		n, err := exec.NextBatch(r.op, r.batch)
-		if err != nil {
-			r.err = err
-			r.done = true
-			return false
-		}
-		if n == 0 {
-			r.done = true
-			return false
-		}
-		if r.acc != nil {
-			r.acc.addBatch(r.batch, n)
-		}
-		r.pos = 0
-	}
-	r.cur = r.batch.Row(r.pos)
-	r.pos++
-	return true
-}
-
-// Row returns the current row's values.
-func (r *ShardedRows) Row() []int64 {
-	out := make([]int64, len(r.cur))
-	for i := range r.cur {
-		out[i] = r.cur.Int(i)
-	}
-	return out
-}
-
-// CopyRow copies the current row into dst without allocating.
-func (r *ShardedRows) CopyRow(dst []int64) int {
-	n := len(r.cur)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.cur.Int(i)
-	}
-	return n
-}
-
-// Columns returns the result column names in output order.
-func (r *ShardedRows) Columns() []string {
-	out := make([]string, r.schema.NumCols())
-	for i := range out {
-		out[i] = r.schema.Col(i).Name
-	}
-	return out
-}
-
-// Col returns the current row's value for the named column.
-func (r *ShardedRows) Col(name string) (int64, bool) {
-	i := r.schema.ColIndex(name)
-	if i < 0 {
-		return 0, false
-	}
-	return r.cur.Int(i), true
-}
-
-// Column is Col with distinguished miss reasons (ErrUnknownColumn vs
-// ErrNotSelected), like Rows.Column.
-func (r *ShardedRows) Column(name string) (int64, error) {
-	if i := r.schema.ColIndex(name); i >= 0 {
-		return r.cur.Int(i), nil
-	}
-	if r.se != nil && r.se.pt.Base.ColIndex(name) >= 0 {
-		return 0, fmt.Errorf("%w: %q (use Select/GroupBy to include it)", ErrNotSelected, name)
-	}
-	return 0, fmt.Errorf("%w: %q", ErrUnknownColumn, name)
-}
-
-// Err returns the first error encountered.
-func (r *ShardedRows) Err() error { return r.err }
 
 // Close releases the gather (stopping the shard workers) and freezes
 // the per-shard I/O deltas. Idempotent, like Rows.Close.
 func (r *ShardedRows) Close() error {
-	if r.closed {
-		return r.closeErr
-	}
-	r.closed = true
-	r.closeErr = r.op.Close()
 	// Workers close their shard Rows before their stream shuts down;
-	// this sweep only matters when the gather never opened.
-	for _, a := range r.adapters {
-		if err := a.Close(); err != nil && r.closeErr == nil {
-			r.closeErr = err
-		}
-	}
-	if r.err == nil && r.closeErr != nil {
-		r.err = r.closeErr
+	// the adapter sweep only matters when the gather never opened.
+	if !r.shut(r.closeAdapters) {
+		return r.closeErr
 	}
 	r.ioDelta = make([]IOStats, len(r.s.shards))
 	for i, db := range r.s.shards {
 		r.ioDelta[i] = db.dev.Stats().Sub(r.ioStart[i])
 	}
 	if r.acc != nil && r.storeEligible() {
-		r.s.storeShardedResult(r.acc)
+		r.acc.store(r.s.resCache, r.s.epochOf)
 	}
 	return r.closeErr
+}
+
+func (r *ShardedRows) closeAdapters() error {
+	var first error
+	for _, a := range r.adapters {
+		if err := a.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Plan returns the compiled scatter-gather plan, rendered lazily on
@@ -1227,9 +1109,7 @@ func (r *ShardedRows) Plan() (*ShardedPlan, error) {
 type ShardedStmt struct {
 	s         *ShardedDB
 	q         *qspec.Spec
-	qt        *qtemplate
-	lits      []int64
-	params    []string
+	st0       *Stmt // shard 0's statement: template, literals, parameters
 	strategy  string
 	pstmts    []shardStmt
 	sideStmts [2][]shardStmt
@@ -1249,10 +1129,7 @@ func (s *ShardedDB) Prepare(sq *ShardedQuery) (*ShardedStmt, error) {
 
 func (s *ShardedDB) prepare(q *qspec.Spec) (*ShardedStmt, error) {
 	snap := q.Clone()
-	shard0 := s.shards[0]
-	shard0.mu.RLock()
-	qt, lits, _, err := shard0.templateFor(snap)
-	shard0.mu.RUnlock()
+	st0, err := s.shards[0].prepare(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -1262,15 +1139,16 @@ func (s *ShardedDB) prepare(q *qspec.Spec) (*ShardedStmt, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotSharded, snap.Table)
 	}
-	strategy, _, err := s.strategyFor(qt.pt, part)
+	pt := st0.qt.pt
+	strategy, _, err := s.strategyFor(pt, part)
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedStmt{s: s, q: snap, qt: qt, lits: lits, params: qt.pt.Params, strategy: strategy}
+	st := &ShardedStmt{s: s, q: snap, st0: st0, strategy: strategy}
 	if strategy == strategyBroadcast {
 		for input := 0; input < 2; input++ {
 			for si := range s.shards {
-				ps, err := s.drivers[si].prepare(sideSpec(snap, input, qt.pt))
+				ps, err := s.drivers[si].prepare(sideSpec(snap, input, pt))
 				if err != nil {
 					return nil, err
 				}
@@ -1290,16 +1168,7 @@ func (s *ShardedDB) prepare(q *qspec.Spec) (*ShardedStmt, error) {
 }
 
 // Params returns the statement's parameter names in first-use order.
-func (st *ShardedStmt) Params() []string {
-	return append([]string(nil), st.params...)
-}
-
-// checkBind rejects bind sets naming parameters the statement does
-// not have, mirroring Stmt.checkBind.
-func (st *ShardedStmt) checkBind(b Bind) error {
-	proxy := &Stmt{qt: st.qt, params: st.params}
-	return proxy.checkBind(b)
-}
+func (st *ShardedStmt) Params() []string { return st.st0.Params() }
 
 // filterBind keeps only the bindings a per-shard statement's own
 // parameters use — pushdown drops Limit/OrderBy for aggregates, so a
@@ -1317,33 +1186,28 @@ func filterBind(ps *Stmt, b Bind) Bind {
 	return out
 }
 
+// bind checks b against the statement's parameters and binds the
+// scatter-gather execution, re-pruning the shard set from the bound
+// predicate values.
+func (st *ShardedStmt) bind(b Bind) (*shardExec, error) {
+	if err := st.st0.checkBind(b); err != nil {
+		return nil, err
+	}
+	return st.s.compileShardExec(st.q, st.st0.qt, st.st0.lits, b, true)
+}
+
 // Run binds the parameters, re-prunes the shard set from the bound
 // predicate values, and executes. Safe for concurrent use; always
 // Close the returned rows.
 func (st *ShardedStmt) Run(ctx context.Context, b Bind) (*ShardedRows, error) {
-	if err := st.checkBind(b); err != nil {
-		return nil, err
-	}
-	se, err := st.s.compileShardExec(st.q, st.qt, st.lits, b, true)
+	se, err := st.bind(b)
 	if err != nil {
 		return nil, err
 	}
-	// Coordinator result-cache tier, as in ad-hoc runs: prepared
-	// executions share entries with ad-hoc ones (the key is the
-	// canonical shape plus the resolved values).
-	cache := st.s.cacheableSharded(se)
-	if cache {
-		if v, ok := st.s.resCache.Lookup(se.cq0.resKey, st.s.epochOf); ok {
-			sr := st.s.serveShardedCached(ctx, se, v, true)
-			sr.planFn = func() (*ShardedPlan, error) { return st.explainWith(se, b) }
-			return sr, nil
-		}
-	}
-	var eps map[string]uint64
-	if cache {
-		eps = st.s.epochsFor(se.cq0)
-	}
-	run := runnerset{
+	// Prepared executions share coordinator result-cache entries with
+	// ad-hoc ones (the key is the canonical shape plus the resolved
+	// values).
+	return st.s.execute(ctx, se, runnerset{
 		planCached: true,
 		shard: func(ctx context.Context, si int) (shardCursor, error) {
 			return st.pstmts[si].run(ctx, b)
@@ -1351,25 +1215,13 @@ func (st *ShardedStmt) Run(ctx context.Context, b Bind) (*ShardedRows, error) {
 		side: func(ctx context.Context, input, si int) (shardCursor, error) {
 			return st.sideStmts[input][si].run(ctx, b)
 		},
-	}
-	sr, err := st.s.startSharded(ctx, se, run)
-	if err != nil {
-		return nil, err
-	}
-	if cache {
-		sr.acc = newResAccum(se.cq0.resKey, eps, st.s.resCache.EntryCap(), se.out.NumCols())
-	}
-	sr.planFn = func() (*ShardedPlan, error) { return st.explainWith(se, b) }
-	return sr, nil
+	}, func() (*ShardedPlan, error) { return st.explainWith(se, b) })
 }
 
 // Explain binds the parameters and renders the scatter-gather plan
 // this execution would run, without touching any device.
 func (st *ShardedStmt) Explain(b Bind) (*ShardedPlan, error) {
-	if err := st.checkBind(b); err != nil {
-		return nil, err
-	}
-	se, err := st.s.compileShardExec(st.q, st.qt, st.lits, b, true)
+	se, err := st.bind(b)
 	if err != nil {
 		return nil, err
 	}

@@ -103,10 +103,15 @@ func buildGridSharded(t testing.TB, n int, scheme string) *ShardedDB {
 	return s
 }
 
-// shardedIter is the common drain surface of *Rows and *ShardedRows.
+// shardedIter is the result-stream surface *Rows and *ShardedRows
+// share.
 type shardedIter interface {
 	Next() bool
 	Row() []int64
+	CopyRow(dst []int64) int
+	Columns() []string
+	Col(name string) (int64, bool)
+	Column(name string) (int64, error)
 	Err() error
 	Close() error
 	ExecStats() ExecStats
@@ -1165,31 +1170,116 @@ func TestShardedExplainRendering(t *testing.T) {
 // Column access on sharded rows
 // ---------------------------------------------------------------------------
 
+// TestShardedRowsColumns pins the stream surface *Rows and *ShardedRows
+// share, for every way a stream opens: ad hoc, prepared, and served
+// from the result cache (the repeat of the ad-hoc run).
 func TestShardedRowsColumns(t *testing.T) {
-	s := buildGridSharded(t, 2, "range")
-	rows, err := s.Query("t").Select("id", "val").Where("val", Between(0, 100)).Run(context.Background())
+	ctx := context.Background()
+	opts := Options{PoolPages: 128, ResultCacheBytes: 1 << 20}
+	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rows.Close()
-	cols := rows.Columns()
-	if len(cols) != 2 || cols[0] != "id" || cols[1] != "val" {
-		t.Fatalf("Columns = %v", cols)
+	tb, err := db.CreateTable("t", "id", "val", "g", "p")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !rows.Next() {
-		t.Fatal("no rows")
+	loadGridTable(t, tb)
+	s, err := OpenSharded(2, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v, ok := rows.Col("val"); !ok || v < 0 || v >= 100 {
-		t.Errorf("Col(val) = %d, %v", v, ok)
+	stb, err := s.CreateShardedTable("t", gridPartitioning("range", 2), "id", "val", "g", "p")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := rows.Column("g"); !errors.Is(err, ErrNotSelected) {
-		t.Errorf("projected-away column = %v, want ErrNotSelected", err)
+	loadShardedGridTable(t, stb)
+	stmt, err := db.Prepare(db.Query("t").Select("id", "val").Where("val", Between(Param("lo"), Param("hi"))))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := rows.Column("nope"); !errors.Is(err, ErrUnknownColumn) {
-		t.Errorf("unknown column = %v, want ErrUnknownColumn", err)
+	sstmt, err := s.Prepare(s.Query("t").Select("id", "val").Where("val", Between(Param("lo"), Param("hi"))))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var buf [2]int64
-	if n := rows.CopyRow(buf[:]); n != 2 {
-		t.Errorf("CopyRow = %d", n)
+	bind := Bind{"lo": 100, "hi": 200} // prepared runs read another range than ad-hoc ones, so they miss
+	cases := []struct {
+		name   string
+		lo     int64
+		cached bool
+		run    func() (shardedIter, error)
+	}{
+		{"rows", 0, false, func() (shardedIter, error) {
+			return db.Query("t").Select("id", "val").Where("val", Between(0, 100)).Run(ctx)
+		}},
+		{"rows/prepared", 100, false, func() (shardedIter, error) { return stmt.Run(ctx, bind) }},
+		{"rows/cached", 0, true, func() (shardedIter, error) {
+			return db.Query("t").Select("id", "val").Where("val", Between(0, 100)).Run(ctx)
+		}},
+		{"sharded", 0, false, func() (shardedIter, error) {
+			return s.Query("t").Select("id", "val").Where("val", Between(0, 100)).Run(ctx)
+		}},
+		{"sharded/prepared", 100, false, func() (shardedIter, error) { return sstmt.Run(ctx, bind) }},
+		{"sharded/cached", 0, true, func() (shardedIter, error) {
+			return s.Query("t").Select("id", "val").Where("val", Between(0, 100)).Run(ctx)
+		}},
+	}
+	drained := map[int64]int{} // rows per range, across engines
+	for _, c := range cases {
+		rows, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if cols := rows.Columns(); len(cols) != 2 || cols[0] != "id" || cols[1] != "val" {
+			t.Fatalf("%s: Columns = %v", c.name, cols)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+			if n > 1 {
+				continue
+			}
+			if v, ok := rows.Col("val"); !ok || v < c.lo || v >= c.lo+100 {
+				t.Errorf("%s: Col(val) = %d, %v", c.name, v, ok)
+			}
+			if _, err := rows.Column("g"); !errors.Is(err, ErrNotSelected) {
+				t.Errorf("%s: projected-away column = %v, want ErrNotSelected", c.name, err)
+			}
+			if _, err := rows.Column("nope"); !errors.Is(err, ErrUnknownColumn) {
+				t.Errorf("%s: unknown column = %v, want ErrUnknownColumn", c.name, err)
+			}
+			var full [2]int64
+			short := []int64{-1}
+			if got := rows.CopyRow(full[:]); got != 2 {
+				t.Errorf("%s: CopyRow = %d", c.name, got)
+			}
+			if got := rows.CopyRow(short); got != 1 || short[0] != full[0] {
+				t.Errorf("%s: CopyRow into a 1-slot dst = %d, %v; want 1, [%d]", c.name, got, short, full[0])
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%s: no rows", c.name)
+		}
+		if rows.Next() {
+			t.Errorf("%s: Next true after exhaustion", c.name)
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		first := rows.Close()
+		if again := rows.Close(); again != first {
+			t.Errorf("%s: second Close = %v, first returned %v", c.name, again, first)
+		}
+		st := rows.ExecStats()
+		if st.RowsReturned != int64(n) {
+			t.Errorf("%s: RowsReturned = %d, drained %d", c.name, st.RowsReturned, n)
+		}
+		if st.ResultCache.Hit != c.cached {
+			t.Errorf("%s: ResultCache.Hit = %v, want %v", c.name, st.ResultCache.Hit, c.cached)
+		}
+		if want, seen := drained[c.lo]; seen && n != want {
+			t.Errorf("%s: drained %d rows, another stream over the range drained %d", c.name, n, want)
+		}
+		drained[c.lo] = n
 	}
 }
