@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build perfbench-build test race race-stress bench-smoke bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke
+.PHONY: check fmt vet build perfbench-build test race race-stress bench-smoke bench bench-parallel bench-baseline bench-gate cover equiv chaos server-smoke multinode-smoke loc
 
 ## check: everything CI runs — format, vet, build (incl. the perfbench
 ## module), tests (incl. -race), bench smoke, the facade-equivalence
@@ -79,6 +79,11 @@ cover:
 	@mkdir -p $(COVER_DIR)
 	$(GO) test -coverprofile=$(COVER_DIR)/cover.out -coverpkg=./... ./...
 	@total=$$($(GO) tool cover -func=$(COVER_DIR)/cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
+
+## loc: the non-test Go line count outside perfbench/ — the net size
+## figure a simplification reports in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs wc -l | tail -1
 
 ## equiv: diff the deterministic ssbench experiments against the
 ## committed golden — proves facade/plan refactors left the simulated

@@ -54,27 +54,42 @@ func newFixture(t *testing.T, numRows int64, poolPages int, gen func(i int64) in
 	return &fixture{dev: dev, pool: bufferpool.New(dev, poolPages), file: file, tree: tree, rows: rows}
 }
 
+// operator is the executor's operator protocol (mirrors exec.Operator
+// without importing exec).
 type operator interface {
+	Schema() *tuple.Schema
 	Open() error
-	Next() (tuple.Row, bool, error)
+	NextBatch(b *tuple.Batch) (int, error)
 	Close() error
 }
 
+// drain runs op to completion through one-row batches — the
+// tuple-at-a-time schedule every other batch capacity must reproduce.
 func drain(t *testing.T, op operator) []tuple.Row {
+	t.Helper()
+	return drainBatch(t, op, 1)
+}
+
+// drainBatch runs op to completion with the given batch capacity,
+// cloning rows out.
+func drainBatch(t *testing.T, op operator, batchCap int) []tuple.Row {
 	t.Helper()
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
+	b := tuple.NewBatchFor(op.Schema(), batchCap)
 	var out []tuple.Row
 	for {
-		row, ok, err := op.Next()
+		n, err := op.NextBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		out = append(out, row)
+		for i := 0; i < n; i++ {
+			out = append(out, b.Row(i).Clone())
+		}
 	}
 	if err := op.Close(); err != nil {
 		t.Fatal(err)
@@ -291,8 +306,9 @@ func TestOperatorsNotOpen(t *testing.T) {
 		NewSwitchScan(fx.file, fx.pool, fx.tree, pred, 10),
 	}
 	for i, op := range ops {
-		if _, _, err := op.Next(); !errors.Is(err, ErrClosed) {
-			t.Errorf("op %d Next before Open: err = %v, want ErrClosed", i, err)
+		b := tuple.NewBatchFor(op.Schema(), 1)
+		if _, err := op.NextBatch(b); !errors.Is(err, ErrClosed) {
+			t.Errorf("op %d NextBatch before Open: err = %v, want ErrClosed", i, err)
 		}
 	}
 }
@@ -312,10 +328,11 @@ func TestErrorPropagationThroughScans(t *testing.T) {
 			t.Fatalf("op %d open: %v", i, err)
 		}
 		fx.dev.FailAfter(3)
+		b := tuple.NewBatchFor(op.Schema(), 1)
 		var err error
 		for err == nil {
-			_, ok, e := op.Next()
-			if !ok && e == nil {
+			n, e := op.NextBatch(b)
+			if n == 0 && e == nil {
 				t.Fatalf("op %d finished despite injected failure", i)
 			}
 			err = e

@@ -7,29 +7,10 @@ import (
 	"smoothscan/internal/tuple"
 )
 
-// drainPerTuple runs the scan tuple at a time.
-func drainPerTuple(t *testing.T, s *SmoothScan) []tuple.Row {
-	t.Helper()
-	if err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var out []tuple.Row
-	for {
-		row, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, row)
-	}
-}
-
 // drainBatched runs the scan through NextBatch with the given batch
-// capacity, cloning rows out of the batch.
-func drainBatched(t *testing.T, s *SmoothScan, batchCap int) []tuple.Row {
+// capacity, cloning rows out of the batch. Capacity 1 is the
+// tuple-at-a-time reference schedule.
+func drainBatched(t testing.TB, s *SmoothScan, batchCap int) []tuple.Row {
 	t.Helper()
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
@@ -53,11 +34,13 @@ func drainBatched(t *testing.T, s *SmoothScan, batchCap int) []tuple.Row {
 
 // TestBatchedSmoothScanEquivalence is the batching acceptance test: for
 // every morphing policy, ordered and unordered delivery, and a spread
-// of selectivities, the batched execution must produce exactly the rows
-// of tuple-at-a-time execution in the same order, AND leave the
-// simulated device in a bit-identical state — same I/O request counts,
-// same random/sequential split, same simulated I/O and CPU time.
-// Batching changes CPU wall-clock work, not the simulated schedule.
+// of selectivities, execution at any batch capacity must produce
+// exactly the rows of one-row batches (tuple-at-a-time execution) in
+// the same order, AND leave the simulated device and the operator in a
+// bit-identical state — same I/O request counts, same random/sequential
+// split, same simulated I/O and CPU time, same morphing statistics.
+// Batch capacity changes CPU wall-clock work, not the simulated
+// schedule.
 func TestBatchedSmoothScanEquivalence(t *testing.T) {
 	const numRows = 600
 	gen := func(i int64) int64 { return (i * 131) % numRows } // scattered values
@@ -79,7 +62,7 @@ func TestBatchedSmoothScanEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := drainPerTuple(t, ssA)
+						want := drainBatched(t, ssA, 1)
 
 						fxB := newFixture(t, numRows, 32, gen)
 						ssB, err := NewSmoothScan(fxB.file, fxB.pool, fxB.tree, pred, cfg)
@@ -89,13 +72,13 @@ func TestBatchedSmoothScanEquivalence(t *testing.T) {
 						got := drainBatched(t, ssB, batchCap)
 
 						if !rowsEqual(want, got) {
-							t.Fatalf("batched rows differ: per-tuple %d rows, batched %d rows", len(want), len(got))
+							t.Fatalf("rows differ: %d at capacity 1, %d batched", len(want), len(got))
 						}
 						if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
-							t.Errorf("device stats differ:\n per-tuple: %+v\n batched:   %+v", sa, sb)
+							t.Errorf("device stats differ:\n capacity 1: %+v\n batched:    %+v", sa, sb)
 						}
 						if sa, sb := ssA.Stats(), ssB.Stats(); sa != sb {
-							t.Errorf("operator stats differ:\n per-tuple: %+v\n batched:   %+v", sa, sb)
+							t.Errorf("operator stats differ:\n capacity 1: %+v\n batched:    %+v", sa, sb)
 						}
 					})
 				}
@@ -125,7 +108,7 @@ func TestBatchedSmoothScanTriggersAndModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := drainPerTuple(t, ssA)
+			want := drainBatched(t, ssA, 1)
 
 			fxB := newFixture(t, numRows, 32, gen)
 			ssB, err := NewSmoothScan(fxB.file, fxB.pool, fxB.tree, pred, cfg)
@@ -135,17 +118,18 @@ func TestBatchedSmoothScanTriggersAndModes(t *testing.T) {
 			got := drainBatched(t, ssB, 64)
 
 			if !rowsEqual(want, got) {
-				t.Fatalf("batched rows differ: per-tuple %d rows, batched %d rows", len(want), len(got))
+				t.Fatalf("rows differ: %d at capacity 1, %d batched", len(want), len(got))
 			}
 			if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
-				t.Errorf("device stats differ:\n per-tuple: %+v\n batched:   %+v", sa, sb)
+				t.Errorf("device stats differ:\n capacity 1: %+v\n batched:    %+v", sa, sb)
 			}
 		})
 	}
 }
 
-// TestSmoothScanMixedProtocol interleaves per-tuple and batched pulls
-// on one operator; both drain the same cursor.
+// TestSmoothScanMixedProtocol alternates batch capacities (1 and 32) on
+// one open scan: every pull drains the same cursor, and the schedule
+// matches a capacity-1 drain bit for bit.
 func TestSmoothScanMixedProtocol(t *testing.T) {
 	const numRows = 400
 	gen := func(i int64) int64 { return (i * 37) % numRows }
@@ -156,7 +140,7 @@ func TestSmoothScanMixedProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := drainPerTuple(t, ssA)
+	want := drainBatched(t, ssA, 1)
 
 	fxB := newFixture(t, numRows, 32, gen)
 	ssB, err := NewSmoothScan(fxB.file, fxB.pool, fxB.tree, pred, Config{MaxRegionPages: 8})
@@ -167,20 +151,10 @@ func TestSmoothScanMixedProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ssB.Close()
-	b := tuple.NewBatchFor(ssB.Schema(), 32)
+	batches := [2]*tuple.Batch{tuple.NewBatchFor(ssB.Schema(), 1), tuple.NewBatchFor(ssB.Schema(), 32)}
 	var got []tuple.Row
 	for i := 0; ; i++ {
-		if i%2 == 0 {
-			row, ok, err := ssB.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, row)
-			continue
-		}
+		b := batches[i%2]
 		n, err := ssB.NextBatch(b)
 		if err != nil {
 			t.Fatal(err)
@@ -193,9 +167,9 @@ func TestSmoothScanMixedProtocol(t *testing.T) {
 		}
 	}
 	if !rowsEqual(want, got) {
-		t.Fatalf("mixed protocol: %d rows, want %d", len(got), len(want))
+		t.Fatalf("mixed capacities: %d rows, want %d", len(got), len(want))
 	}
 	if sa, sb := fxA.dev.Stats(), fxB.dev.Stats(); sa != sb {
-		t.Errorf("device stats differ:\n per-tuple: %+v\n mixed:     %+v", sa, sb)
+		t.Errorf("device stats differ:\n capacity 1: %+v\n mixed:      %+v", sa, sb)
 	}
 }

@@ -11,51 +11,29 @@ import (
 // (1024 rows × 10 columns × 8 B = 80 KB).
 const DefaultBatchSize = 1024
 
-// Simulation invariance: every batch implementation preserves the I/O
-// request schedule and the per-tuple CPU charge counts of its
-// per-tuple twin exactly. Within one operator the charge *sequence* is
-// also preserved (see disk.ChargeCPUN), so pure scan pipelines — the
-// paper-figure experiments — produce bit-identical simulated costs.
-// Across operator boundaries batching groups charges (a Filter charges
-// its whole input batch before the consumer charges any of it), so a
-// pipeline mixing different cost constants (e.g. HashAgg's Aggregate
-// over Filter's Tuple) accumulates the same terms in a different
-// order; CPUTime then agrees only to floating-point reassociation
-// (ULPs), which is invisible at any reported precision.
+// Simulation invariance: the capacity of the batch a caller passes to
+// NextBatch never changes the simulated schedule. Every operator issues
+// the same I/O requests and the same per-tuple CPU charge counts at any
+// capacity, and capacity 1 reproduces the classic tuple-at-a-time pull
+// exactly. Within one operator the charge *sequence* is preserved too
+// (see disk.ChargeCPUN), so pure scan pipelines — the paper-figure
+// experiments — produce bit-identical simulated costs. Across operator
+// boundaries a larger batch groups charges (a Filter charges its whole
+// input batch before the consumer charges any of it), so a pipeline
+// mixing different cost constants (e.g. HashAgg's Aggregate over
+// Filter's Tuple) accumulates the same terms in a different order;
+// CPUTime then agrees only to floating-point reassociation (ULPs),
+// which is invisible at any reported precision. Where the interleaving
+// of two inputs is part of the paper's cost model, the operator fixes
+// its own pull size: IndexNestedLoopJoin pulls its outer input one row
+// per batch, so each look-up interleaves with the outer scan exactly as
+// in Volcano execution.
 
-// BatchOperator is the vectorized fast path of the operator protocol.
-// NextBatch resets b and fills it with up to b.Cap() rows, returning
-// the number appended; 0 means end of stream (a batch operator never
-// returns an empty batch mid-stream). The rows in b are views into the
-// batch and remain valid until the next NextBatch call on the same
-// batch; callers that retain rows must copy them.
-//
-// Every BatchOperator also implements the per-tuple protocol, and the
-// two may be interleaved: both drain the same underlying cursor.
-type BatchOperator interface {
-	Operator
-	NextBatch(b *tuple.Batch) (int, error)
-}
-
-// NextBatch fills b from op: directly when op implements BatchOperator,
-// otherwise by looping the per-tuple protocol and copying rows in. It
-// is the bridge that lets batch-aware consumers drain any operator.
+// NextBatch fills b from op. It is a plain call of op.NextBatch, kept
+// because the separate benchmark module (perfbench) drives operators
+// through it.
 func NextBatch(op Operator, b *tuple.Batch) (int, error) {
-	if bo, ok := op.(BatchOperator); ok {
-		return bo.NextBatch(b)
-	}
-	b.Reset()
-	for !b.Full() {
-		row, ok, err := op.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		b.Append(row)
-	}
-	return b.Len(), nil
+	return op.NextBatch(b)
 }
 
 // newScratchFor returns a scratch batch sized for op's schema.
@@ -83,7 +61,7 @@ func (f *Filter) NextBatch(out *tuple.Batch) (int, error) {
 		return 0, ErrClosed
 	}
 	for {
-		n, err := NextBatch(f.child, out)
+		n, err := f.child.NextBatch(out)
 		if err != nil {
 			return 0, err
 		}
@@ -111,7 +89,7 @@ func (p *Project) NextBatch(out *tuple.Batch) (int, error) {
 	// Pull no more child rows than out can take, so no projected row is
 	// ever dropped on the floor.
 	p.scratch.SetFillLimit(out.FillCap())
-	n, err := NextBatch(p.child, p.scratch)
+	n, err := p.child.NextBatch(p.scratch)
 	if err != nil {
 		return 0, err
 	}
@@ -135,7 +113,7 @@ func (p *ColProject) NextBatch(out *tuple.Batch) (int, error) {
 	// Pull no more child rows than out can take, so no projected row is
 	// ever dropped on the floor.
 	p.scratch.SetFillLimit(out.FillCap())
-	n, err := NextBatch(p.child, p.scratch)
+	n, err := p.child.NextBatch(p.scratch)
 	if err != nil {
 		return 0, err
 	}
@@ -152,7 +130,7 @@ func (p *ColProject) NextBatch(out *tuple.Batch) (int, error) {
 
 // NextBatch fills out with the next rows while under the limit. The
 // batch's fill limit stops the child from producing (and paying for)
-// rows beyond the limit, exactly as the per-tuple protocol would.
+// rows beyond the limit, exactly as a tuple-at-a-time pull would.
 func (l *Limit) NextBatch(out *tuple.Batch) (int, error) {
 	if !l.open {
 		return 0, ErrClosed
@@ -167,7 +145,7 @@ func (l *Limit) NextBatch(out *tuple.Batch) (int, error) {
 		out.SetFillLimit(int(remaining))
 		defer out.SetFillLimit(prev)
 	}
-	n, err := NextBatch(l.child, out)
+	n, err := l.child.NextBatch(out)
 	if err != nil {
 		return 0, err
 	}

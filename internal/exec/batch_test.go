@@ -114,8 +114,8 @@ func TestLimitNextBatchDoesNotOverpull(t *testing.T) {
 	l.Close()
 }
 
-// TestHashAggBatchInput checks HashAgg over the batched input path and
-// that per-tuple and batched children agree.
+// TestHashAggBatchInput checks HashAgg's grouped results over a
+// batch-draining child.
 func TestHashAggBatchInput(t *testing.T) {
 	dev := disk.NewDevice(disk.HDD)
 	mk := func() *HashAgg {
@@ -143,9 +143,11 @@ func TestHashAggBatchInput(t *testing.T) {
 	}
 }
 
-// TestNextBatchAdapterFallback drains a per-tuple-only operator through
-// the adapter. Wrapping *Values in a struct that embeds only the
-// Operator interface hides its NextBatch, forcing the fallback.
+// TestNextBatchAdapterFallback drives the package-level NextBatch, the
+// entry point drivers outside the executor use, over an operator
+// reached only through the Operator interface: fills stop at the batch
+// capacity, resume where the last one stopped and report 0 at end of
+// stream.
 func TestNextBatchAdapterFallback(t *testing.T) {
 	var iface Operator = struct{ Operator }{NewValues(tuple.Ints(1), intRows(4, 5, 6))}
 	if err := iface.Open(); err != nil {

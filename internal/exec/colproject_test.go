@@ -42,32 +42,22 @@ func TestColProject(t *testing.T) {
 	}
 }
 
+// TestColProjectPerTupleAgrees drains the projection through one-row
+// batches, the tuple-at-a-time pull.
 func TestColProjectPerTupleAgrees(t *testing.T) {
 	in, _ := colProjectInput()
 	p, err := NewColProject(in, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Open(); err != nil {
-		t.Fatal(err)
+	out := drainBatched(t, p, 1)
+	for i, row := range out {
+		if row.Int(0) != int64(i)*2 {
+			t.Fatalf("row %d = %v", i, row)
+		}
 	}
-	defer p.Close()
-	n := int64(0)
-	for {
-		row, ok, err := p.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if row.Int(0) != n*2 {
-			t.Fatalf("row %d = %v", n, row)
-		}
-		n++
-	}
-	if n != 2500 {
-		t.Errorf("per-tuple drain produced %d rows", n)
+	if len(out) != 2500 {
+		t.Errorf("one-row-batch drain produced %d rows", len(out))
 	}
 }
 

@@ -42,22 +42,46 @@ func TestValuesAndDrain(t *testing.T) {
 	}
 }
 
+// keyLookup is an in-memory Lookup over rows keyed by column 0.
+type keyLookup struct {
+	schema *tuple.Schema
+	rows   []tuple.Row
+}
+
+func (l keyLookup) Schema() *tuple.Schema { return l.schema }
+
+func (l keyLookup) Find(key int64) ([]tuple.Row, error) {
+	var out []tuple.Row
+	for _, r := range l.rows {
+		if r.Int(0) == key {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
 func TestOperatorsRejectNextBeforeOpen(t *testing.T) {
 	v := intsValues([]int64{1})
+	cp, err := NewColProject(v, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ops := []Operator{
 		v,
 		NewFilter(v, nil, func(tuple.Row) bool { return true }),
 		NewProject(v, tuple.Ints(1), func(r tuple.Row) tuple.Row { return r }),
+		cp,
 		NewLimit(v, 1),
 		NewSort(v, nil, 0),
 		NewHashAgg(v, nil, -1, []AggSpec{{Name: "n", Kind: AggCount}}),
-		NewHashJoin(v, v, nil, 0, 0),
-		NewMergeJoin(v, v, nil, 0, 0),
-		NewNestedLoopJoin(v, v, nil, func(l, r tuple.Row) bool { return true }),
+		NewHashJoinBatch(v, v, nil, 0, 0, false),
+		NewMergeJoinBatch(v, v, nil, 0, 0),
+		NewIndexNestedLoopJoin(v, keyLookup{schema: tuple.Ints(1)}, 0),
 	}
 	for i, op := range ops {
-		if _, _, err := op.Next(); !errors.Is(err, ErrClosed) {
-			t.Errorf("op %d: err = %v, want ErrClosed", i, err)
+		b := tuple.NewBatchFor(op.Schema(), 1)
+		if _, err := op.NextBatch(b); !errors.Is(err, ErrClosed) {
+			t.Errorf("op %d (%T): err = %v, want ErrClosed", i, op, err)
 		}
 	}
 }
@@ -239,7 +263,7 @@ func joinRowsEqual(a, b []tuple.Row) bool {
 func TestHashJoin(t *testing.T) {
 	left := []tuple.Row{tuple.IntsRow(1, 100), tuple.IntsRow(2, 200), tuple.IntsRow(3, 300)}
 	right := []tuple.Row{tuple.IntsRow(2, 7), tuple.IntsRow(2, 8), tuple.IntsRow(4, 9)}
-	j := NewHashJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0)
+	j := NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0, false)
 	got, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +282,7 @@ func TestHashJoin(t *testing.T) {
 func TestMergeJoinWithDuplicates(t *testing.T) {
 	left := []tuple.Row{tuple.IntsRow(1, 0), tuple.IntsRow(2, 1), tuple.IntsRow(2, 2), tuple.IntsRow(5, 3)}
 	right := []tuple.Row{tuple.IntsRow(2, 10), tuple.IntsRow(2, 11), tuple.IntsRow(3, 12), tuple.IntsRow(5, 13)}
-	j := NewMergeJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0)
+	j := NewMergeJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0)
 	got, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
@@ -271,43 +295,30 @@ func TestMergeJoinWithDuplicates(t *testing.T) {
 	}
 }
 
+// TestMergeJoinDetectsUnsortedInput pulls the join one row at a time:
+// the order violation must surface as an error, never as a clean end of
+// stream.
 func TestMergeJoinDetectsUnsortedInput(t *testing.T) {
 	left := []tuple.Row{tuple.IntsRow(3), tuple.IntsRow(1), tuple.IntsRow(3)}
 	right := []tuple.Row{tuple.IntsRow(1), tuple.IntsRow(3)}
-	j := NewMergeJoin(NewValues(tuple.Ints(1), left), NewValues(tuple.Ints(1), right), nil, 0, 0)
+	j := NewMergeJoinBatch(NewValues(tuple.Ints(1), left), NewValues(tuple.Ints(1), right), nil, 0, 0)
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
+	b := tuple.NewBatchFor(j.Schema(), 1)
 	var err error
 	for err == nil {
-		var ok bool
-		_, ok, err = j.Next()
-		if !ok && err == nil {
+		var n int
+		n, err = j.NextBatch(b)
+		if n == 0 && err == nil {
 			t.Fatal("unsorted input not detected")
 		}
 	}
 }
 
-func TestNestedLoopJoinThetaPredicate(t *testing.T) {
-	left := []tuple.Row{tuple.IntsRow(1), tuple.IntsRow(5)}
-	right := []tuple.Row{tuple.IntsRow(3), tuple.IntsRow(4)}
-	j := NewNestedLoopJoin(
-		NewValues(tuple.Ints(1), left),
-		NewValues(tuple.Ints(1), right),
-		nil,
-		func(l, r tuple.Row) bool { return l.Int(0) < r.Int(0) },
-	)
-	got, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 { // (1,3), (1,4)
-		t.Errorf("theta join = %v", got)
-	}
-}
-
-// Property: hash join, merge join (over sorted inputs) and nested-loop
-// join agree with the reference equi-join for random inputs.
+// Property: hash join (either build side) and merge join (over sorted
+// inputs) agree with the reference equi-join for random inputs.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	f := func(lraw, rraw []uint8) bool {
 		left := make([]tuple.Row, len(lraw))
@@ -321,35 +332,27 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 		want := referenceJoin(left, right, 0, 0)
 		normalise(want)
 
-		hj, err := Drain(NewHashJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0))
-		if err != nil {
-			return false
-		}
-		normalise(hj)
-		if !joinRowsEqual(hj, want) {
-			return false
+		for _, buildLeft := range []bool{false, true} {
+			hj, err := Drain(NewHashJoinBatch(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0, buildLeft))
+			if err != nil {
+				return false
+			}
+			normalise(hj)
+			if !joinRowsEqual(hj, want) {
+				return false
+			}
 		}
 
 		sl := append([]tuple.Row(nil), left...)
 		sr := append([]tuple.Row(nil), right...)
 		sort.SliceStable(sl, func(i, j int) bool { return sl[i].Int(0) < sl[j].Int(0) })
 		sort.SliceStable(sr, func(i, j int) bool { return sr[i].Int(0) < sr[j].Int(0) })
-		mj, err := Drain(NewMergeJoin(NewValues(tuple.Ints(2), sl), NewValues(tuple.Ints(2), sr), nil, 0, 0))
+		mj, err := Drain(NewMergeJoinBatch(NewValues(tuple.Ints(2), sl), NewValues(tuple.Ints(2), sr), nil, 0, 0))
 		if err != nil {
 			return false
 		}
 		normalise(mj)
-		if !joinRowsEqual(mj, want) {
-			return false
-		}
-
-		nl, err := Drain(NewNestedLoopJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil,
-			func(l, r tuple.Row) bool { return l.Int(0) == r.Int(0) }))
-		if err != nil {
-			return false
-		}
-		normalise(nl)
-		return joinRowsEqual(nl, want)
+		return joinRowsEqual(mj, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -451,7 +454,7 @@ func TestSmoothLookupUsesFewerRequests(t *testing.T) {
 }
 
 func TestIndexNestedLoopJoin(t *testing.T) {
-	file, pool, tree, dev, rows := lookupFixture(t)
+	file, pool, tree, _, rows := lookupFixture(t)
 	// Outer: 10 rows with keys 0..9 in column 0.
 	var outer []tuple.Row
 	for i := int64(0); i < 10; i++ {
@@ -460,7 +463,7 @@ func TestIndexNestedLoopJoin(t *testing.T) {
 	j := NewIndexNestedLoopJoin(
 		NewValues(tuple.Ints(2), outer),
 		NewSmoothLookup(file, pool, tree),
-		dev, 0,
+		0,
 	)
 	got, err := Drain(j)
 	if err != nil {
@@ -480,23 +483,94 @@ func TestIndexNestedLoopJoin(t *testing.T) {
 	}
 }
 
+// outerFixture adds a second heap table on lookupFixture's device:
+// n two-column rows whose column 0 cycles through the lookup keys.
+func outerFixture(t *testing.T, dev *disk.Device, n int64) *heap.File {
+	t.Helper()
+	file, err := heap.Create(dev, tuple.Ints(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := file.NewBuilder()
+	for i := int64(0); i < n; i++ {
+		if err := b.Append(tuple.IntsRow((i*7)%30, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dev.ResetStats()
+	return file
+}
+
+// TestIndexNestedLoopJoinInterleavesLookups pins the INLJ's simulated
+// schedule: an outer scan and an IndexLookup inner share one device and
+// buffer pool, so the order of their page requests decides the
+// random/sequential split and the pool's hits. The join must issue
+// exactly the requests of a tuple-at-a-time loop — pull one outer row,
+// probe the inner, repeat — whatever the output batch capacity.
+func TestIndexNestedLoopJoinInterleavesLookups(t *testing.T) {
+	run := func(drain func(outer Operator, inner Lookup) []tuple.Row) ([]tuple.Row, disk.Stats) {
+		file, pool, tree, dev, _ := lookupFixture(t)
+		outer := newHeapScan(outerFixture(t, dev, 300), pool)
+		rows := drain(outer, NewIndexLookup(file, pool, tree))
+		return rows, dev.Stats()
+	}
+	want, wantStats := run(func(outer Operator, inner Lookup) []tuple.Row {
+		if err := outer.Open(); err != nil {
+			t.Fatal(err)
+		}
+		defer outer.Close()
+		b := tuple.NewBatchFor(outer.Schema(), 1)
+		var out []tuple.Row
+		for {
+			n, err := outer.NextBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				return out
+			}
+			matches, err := inner.Find(b.Row(0).Int(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range matches {
+				out = append(out, b.Row(0).Concat(m))
+			}
+		}
+	})
+	if len(want) == 0 {
+		t.Fatal("empty join; fixture too sparse")
+	}
+	for _, capacity := range []int{1, 7, DefaultBatchSize} {
+		got, gotStats := run(func(outer Operator, inner Lookup) []tuple.Row {
+			return drainBatched(t, NewIndexNestedLoopJoin(outer, inner, 0), capacity)
+		})
+		if !joinRowsEqual(got, want) {
+			t.Errorf("capacity %d: %d rows, want %d in reference order", capacity, len(got), len(want))
+		}
+		if gotStats != wantStats {
+			t.Errorf("capacity %d: device stats differ:\n reference: %+v\n inlj:      %+v", capacity, wantStats, gotStats)
+		}
+	}
+}
+
 func TestErrorPropagationThroughPlan(t *testing.T) {
-	file, pool, tree, dev, _ := lookupFixture(t)
-	_ = tree
-	// A filter over a full scan over a failing device.
-	scan := NewValues(tuple.Ints(3), nil)
-	_ = scan
-	fs := newHeapScan(file, pool)
-	plan := NewFilter(fs, dev, func(r tuple.Row) bool { return true })
+	file, pool, _, dev, _ := lookupFixture(t)
+	// A filter over a heap scan over a failing device.
+	plan := NewFilter(newHeapScan(file, pool), dev, func(r tuple.Row) bool { return true })
 	if err := plan.Open(); err != nil {
 		t.Fatal(err)
 	}
 	dev.FailAfter(2)
+	b := tuple.NewBatchFor(plan.Schema(), 1)
 	var err error
 	for err == nil {
-		var ok bool
-		_, ok, err = plan.Next()
-		if !ok && err == nil {
+		var n int
+		n, err = plan.NextBatch(b)
+		if n == 0 && err == nil {
 			t.Fatal("plan completed despite injected failure")
 		}
 	}
@@ -506,9 +580,9 @@ func TestErrorPropagationThroughPlan(t *testing.T) {
 	dev.FailAfter(-1)
 }
 
-// newHeapScan is a minimal heap reader used to test error propagation
-// without importing package access (which would create an import
-// cycle in tests only, but keep layering clean).
+// newHeapScan is a minimal heap reader (one page request per row) used
+// to test plans over a device without importing package access, which
+// keeps the executor's tests inside its own layer.
 type heapScan struct {
 	file *heap.File
 	pool *bufferpool.Pool
@@ -525,25 +599,23 @@ func (h *heapScan) Schema() *tuple.Schema { return h.file.Schema() }
 func (h *heapScan) Open() error           { h.page, h.slot, h.open = 0, 0, true; return nil }
 func (h *heapScan) Close() error          { h.open = false; return nil }
 
-func (h *heapScan) Next() (tuple.Row, bool, error) {
+func (h *heapScan) NextBatch(out *tuple.Batch) (int, error) {
 	if !h.open {
-		return nil, false, ErrClosed
+		return 0, ErrClosed
 	}
-	for {
-		if h.page >= h.file.NumPages() {
-			return nil, false, nil
-		}
+	out.Reset()
+	for !out.Full() && h.page < h.file.NumPages() {
 		page, err := h.file.GetPage(h.pool, h.page)
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
 		if h.slot >= heap.PageTupleCount(page) {
 			h.page++
 			h.slot = 0
 			continue
 		}
-		row := h.file.DecodeRow(page, h.slot, nil)
+		h.file.DecodeRow(page, h.slot, out.AppendSlotRaw())
 		h.slot++
-		return row, true, nil
 	}
+	return out.Len(), nil
 }

@@ -3,92 +3,8 @@ package exec
 import (
 	"fmt"
 
-	"smoothscan/internal/disk"
-	"smoothscan/internal/simcost"
 	"smoothscan/internal/tuple"
 )
-
-// HashJoin is an equi-join: it builds a hash table on the right
-// (build) input and probes it with the left (probe) input. Blocking on
-// the build side, pipelined on the probe side.
-type HashJoin struct {
-	left, right       Operator
-	leftCol, rightCol int
-	dev               *disk.Device
-	schema            *tuple.Schema
-	table             map[int64][]tuple.Row
-	pending           []tuple.Row
-	pendingLeft       tuple.Row
-	pendingIdx        int
-	open              bool
-}
-
-// NewHashJoin joins left.leftCol = right.rightCol.
-func NewHashJoin(left, right Operator, dev *disk.Device, leftCol, rightCol int) *HashJoin {
-	return &HashJoin{
-		left: left, right: right,
-		leftCol: leftCol, rightCol: rightCol,
-		dev:    dev,
-		schema: left.Schema().Concat(right.Schema()),
-	}
-}
-
-// Schema returns the concatenated schema.
-func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
-
-// Open builds the hash table from the right input.
-func (j *HashJoin) Open() error {
-	rows, err := Drain(j.right)
-	if err != nil {
-		return err
-	}
-	j.table = make(map[int64][]tuple.Row, len(rows))
-	for _, r := range rows {
-		if j.dev != nil {
-			j.dev.ChargeCPU(simcost.Hash)
-		}
-		k := r.Int(j.rightCol)
-		j.table[k] = append(j.table[k], r)
-	}
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	j.pending = nil
-	j.open = true
-	return nil
-}
-
-// Next returns the next joined row.
-func (j *HashJoin) Next() (tuple.Row, bool, error) {
-	if !j.open {
-		return nil, false, ErrClosed
-	}
-	for {
-		if j.pendingIdx < len(j.pending) {
-			r := j.pendingLeft.Concat(j.pending[j.pendingIdx])
-			j.pendingIdx++
-			return r, true, nil
-		}
-		row, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if j.dev != nil {
-			j.dev.ChargeCPU(simcost.Hash)
-		}
-		j.pending = j.table[row.Int(j.leftCol)]
-		j.pendingLeft = row
-		j.pendingIdx = 0
-	}
-}
-
-// Close closes both inputs and drops the table.
-func (j *HashJoin) Close() error {
-	j.open = false
-	j.table = nil
-	j.pending = nil
-	return j.left.Close()
-}
 
 // Lookup is a parameterised inner input for index-nested-loop joins:
 // given a join key, it returns the matching rows. Implementations
@@ -104,23 +20,29 @@ type Lookup interface {
 // IndexNestedLoopJoin probes a Lookup for each outer row — the INLJ of
 // the paper's TPC-H plans, where the inner is a primary-key look-up or
 // a per-key Smooth Scan.
+//
+// The outer input is pulled through a one-row batch and the inner is
+// probed once per outer row, whatever the capacity of the output
+// batch: each look-up interleaves with the outer scan as in Volcano
+// execution. Pulling the outer a full batch at a time would reorder
+// the outer scan's and the look-ups' traffic through the shared buffer
+// pool and change the simulated cost of the paper's INLJ plans.
 type IndexNestedLoopJoin struct {
 	outer    Operator
 	inner    Lookup
 	outerCol int
-	dev      *disk.Device
 	schema   *tuple.Schema
 
-	pending    []tuple.Row
-	pendingRow tuple.Row
-	pendingIdx int
-	open       bool
+	ob      *tuple.Batch // one-row outer batch; row 0 is the current outer row
+	matches []tuple.Row  // inner rows matching the current outer row
+	mi      int
+	open    bool
 }
 
 // NewIndexNestedLoopJoin joins outer.outerCol = inner key.
-func NewIndexNestedLoopJoin(outer Operator, inner Lookup, dev *disk.Device, outerCol int) *IndexNestedLoopJoin {
+func NewIndexNestedLoopJoin(outer Operator, inner Lookup, outerCol int) *IndexNestedLoopJoin {
 	return &IndexNestedLoopJoin{
-		outer: outer, inner: inner, outerCol: outerCol, dev: dev,
+		outer: outer, inner: inner, outerCol: outerCol,
 		schema: outer.Schema().Concat(inner.Schema()),
 	}
 }
@@ -133,279 +55,53 @@ func (j *IndexNestedLoopJoin) Open() error {
 	if err := j.outer.Open(); err != nil {
 		return err
 	}
-	j.pending = nil
+	if j.ob == nil {
+		j.ob = tuple.NewBatchFor(j.outer.Schema(), 1)
+	}
+	j.matches, j.mi = nil, 0
 	j.open = true
 	return nil
 }
 
-// Next returns the next joined row.
-func (j *IndexNestedLoopJoin) Next() (tuple.Row, bool, error) {
+// NextBatch fills out with joined rows until it is full or the outer
+// input ends; a return of 0 is end of stream. The next outer row is
+// pulled only once out has room, as a tuple-at-a-time consumer would.
+func (j *IndexNestedLoopJoin) NextBatch(out *tuple.Batch) (int, error) {
 	if !j.open {
-		return nil, false, ErrClosed
+		return 0, ErrClosed
 	}
+	out.Reset()
 	for {
-		if j.pendingIdx < len(j.pending) {
-			r := j.pendingRow.Concat(j.pending[j.pendingIdx])
-			j.pendingIdx++
-			return r, true, nil
+		for ; j.mi < len(j.matches); j.mi++ {
+			slot := out.AppendSlotRaw()
+			if slot == nil {
+				return out.Len(), nil
+			}
+			outerRow := j.ob.Row(0)
+			copy(slot, outerRow)
+			copy(slot[len(outerRow):], j.matches[j.mi])
 		}
-		row, ok, err := j.outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		if out.Full() {
+			return out.Len(), nil
 		}
-		matches, err := j.inner.Find(row.Int(j.outerCol))
+		n, err := j.outer.NextBatch(j.ob)
 		if err != nil {
-			return nil, false, fmt.Errorf("inlj: %w", err)
+			return 0, err
 		}
-		j.pending = matches
-		j.pendingRow = row
-		j.pendingIdx = 0
+		if n == 0 {
+			return out.Len(), nil
+		}
+		matches, err := j.inner.Find(j.ob.Row(0).Int(j.outerCol))
+		if err != nil {
+			return 0, fmt.Errorf("inlj: %w", err)
+		}
+		j.matches, j.mi = matches, 0
 	}
 }
 
 // Close closes the outer input.
 func (j *IndexNestedLoopJoin) Close() error {
 	j.open = false
-	j.pending = nil
-	return j.outer.Close()
-}
-
-// MergeJoin equi-joins two inputs that are already ordered by their
-// join columns — the operator whose "interesting order" requirement
-// motivates the ordered (Result Cache) variant of Smooth Scan
-// (Section IV-B). It handles duplicate keys on both sides.
-type MergeJoin struct {
-	left, right       Operator
-	leftCol, rightCol int
-	dev               *disk.Device
-	schema            *tuple.Schema
-
-	leftRow   tuple.Row
-	leftOK    bool
-	rightRow  tuple.Row
-	rightOK   bool
-	group     []tuple.Row // right rows sharing the current key
-	groupKey  int64
-	leftInGrp bool
-	grpIdx    int
-	started   bool
-	lastLeft  int64
-	lastRight int64
-	open      bool
-}
-
-// NewMergeJoin joins left.leftCol = right.rightCol; both inputs must
-// be sorted ascending on those columns (verified at run time).
-func NewMergeJoin(left, right Operator, dev *disk.Device, leftCol, rightCol int) *MergeJoin {
-	return &MergeJoin{
-		left: left, right: right,
-		leftCol: leftCol, rightCol: rightCol, dev: dev,
-		schema: left.Schema().Concat(right.Schema()),
-	}
-}
-
-// Schema returns the concatenated schema.
-func (j *MergeJoin) Schema() *tuple.Schema { return j.schema }
-
-// Open opens both inputs and primes the cursors.
-func (j *MergeJoin) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	var err error
-	if j.leftRow, j.leftOK, err = j.nextLeft(); err != nil {
-		return err
-	}
-	if j.rightRow, j.rightOK, err = j.nextRight(); err != nil {
-		return err
-	}
-	j.group = nil
-	j.leftInGrp = false
-	j.open = true
-	return nil
-}
-
-func (j *MergeJoin) nextLeft() (tuple.Row, bool, error) {
-	row, ok, err := j.left.Next()
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	if j.dev != nil {
-		j.dev.ChargeCPU(simcost.Compare)
-	}
-	k := row.Int(j.leftCol)
-	if j.started && k < j.lastLeft {
-		return nil, false, fmt.Errorf("merge join: left input not sorted (%d after %d)", k, j.lastLeft)
-	}
-	j.lastLeft = k
-	return row, true, nil
-}
-
-func (j *MergeJoin) nextRight() (tuple.Row, bool, error) {
-	row, ok, err := j.right.Next()
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	if j.dev != nil {
-		j.dev.ChargeCPU(simcost.Compare)
-	}
-	k := row.Int(j.rightCol)
-	if j.started && k < j.lastRight {
-		return nil, false, fmt.Errorf("merge join: right input not sorted (%d after %d)", k, j.lastRight)
-	}
-	j.lastRight = k
-	return row, true, nil
-}
-
-// Next returns the next joined row.
-func (j *MergeJoin) Next() (tuple.Row, bool, error) {
-	if !j.open {
-		return nil, false, ErrClosed
-	}
-	j.started = true
-	for {
-		// Emit from the current (leftRow × right group) block.
-		if j.leftInGrp {
-			if j.grpIdx < len(j.group) {
-				r := j.leftRow.Concat(j.group[j.grpIdx])
-				j.grpIdx++
-				return r, true, nil
-			}
-			// Advance left; if the key is unchanged, replay the group.
-			var err error
-			j.leftRow, j.leftOK, err = j.nextLeft()
-			if err != nil {
-				return nil, false, err
-			}
-			j.grpIdx = 0
-			if !j.leftOK || j.leftRow.Int(j.leftCol) != j.groupKey {
-				j.leftInGrp = false
-				j.group = nil
-			}
-			continue
-		}
-		if !j.leftOK || !j.rightOK {
-			return nil, false, nil
-		}
-		lk, rk := j.leftRow.Int(j.leftCol), j.rightRow.Int(j.rightCol)
-		switch {
-		case lk < rk:
-			var err error
-			if j.leftRow, j.leftOK, err = j.nextLeft(); err != nil {
-				return nil, false, err
-			}
-		case lk > rk:
-			var err error
-			if j.rightRow, j.rightOK, err = j.nextRight(); err != nil {
-				return nil, false, err
-			}
-		default:
-			// Materialise the right group for this key.
-			j.groupKey = rk
-			j.group = j.group[:0]
-			for j.rightOK && j.rightRow.Int(j.rightCol) == rk {
-				j.group = append(j.group, j.rightRow)
-				var err error
-				if j.rightRow, j.rightOK, err = j.nextRight(); err != nil {
-					return nil, false, err
-				}
-			}
-			j.grpIdx = 0
-			j.leftInGrp = true
-		}
-	}
-}
-
-// Close closes both inputs.
-func (j *MergeJoin) Close() error {
-	j.open = false
-	j.group = nil
-	errL := j.left.Close()
-	errR := j.right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
-}
-
-// NestedLoopJoin is the naive θ-join: for every outer row it rescans
-// the inner input. Used as a baseline and for non-equi predicates.
-type NestedLoopJoin struct {
-	outer, inner Operator
-	on           func(l, r tuple.Row) bool
-	dev          *disk.Device
-	schema       *tuple.Schema
-
-	outerRow tuple.Row
-	haveOut  bool
-	open     bool
-}
-
-// NewNestedLoopJoin joins with an arbitrary predicate.
-func NewNestedLoopJoin(outer, inner Operator, dev *disk.Device, on func(l, r tuple.Row) bool) *NestedLoopJoin {
-	return &NestedLoopJoin{
-		outer: outer, inner: inner, on: on, dev: dev,
-		schema: outer.Schema().Concat(inner.Schema()),
-	}
-}
-
-// Schema returns the concatenated schema.
-func (j *NestedLoopJoin) Schema() *tuple.Schema { return j.schema }
-
-// Open opens the outer input.
-func (j *NestedLoopJoin) Open() error {
-	if err := j.outer.Open(); err != nil {
-		return err
-	}
-	j.haveOut = false
-	j.open = true
-	return nil
-}
-
-// Next returns the next joined row.
-func (j *NestedLoopJoin) Next() (tuple.Row, bool, error) {
-	if !j.open {
-		return nil, false, ErrClosed
-	}
-	for {
-		if !j.haveOut {
-			row, ok, err := j.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.outerRow = row
-			j.haveOut = true
-			if err := j.inner.Open(); err != nil {
-				return nil, false, err
-			}
-		}
-		for {
-			row, ok, err := j.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			if j.dev != nil {
-				j.dev.ChargeCPU(simcost.Compare)
-			}
-			if j.on(j.outerRow, row) {
-				return j.outerRow.Concat(row), true, nil
-			}
-		}
-		if err := j.inner.Close(); err != nil {
-			return nil, false, err
-		}
-		j.haveOut = false
-	}
-}
-
-// Close closes both inputs.
-func (j *NestedLoopJoin) Close() error {
-	j.open = false
+	j.matches = nil
 	return j.outer.Close()
 }

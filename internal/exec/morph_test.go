@@ -3,7 +3,6 @@ package exec
 import (
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"smoothscan/internal/bufferpool"
 	"smoothscan/internal/tuple"
@@ -91,7 +90,7 @@ func TestMorphingLookupNeverRereadsPages(t *testing.T) {
 }
 
 func TestMorphingLookupInINLJ(t *testing.T) {
-	file, pool, tree, dev, rows := lookupFixture(t)
+	file, pool, tree, _, rows := lookupFixture(t)
 	var outer []tuple.Row
 	for i := int64(0); i < 60; i++ {
 		outer = append(outer, tuple.IntsRow(i%30)) // keys repeat: morphing pays off
@@ -99,7 +98,7 @@ func TestMorphingLookupInINLJ(t *testing.T) {
 	j := NewIndexNestedLoopJoin(
 		NewValues(tuple.Ints(1), outer),
 		NewMorphingLookup(file, pool, tree, 1),
-		dev, 0,
+		0,
 	)
 	got, err := Drain(j)
 	if err != nil {
@@ -113,99 +112,6 @@ func TestMorphingLookupInINLJ(t *testing.T) {
 	}
 	if len(got) != want {
 		t.Errorf("INLJ rows = %d, want %d", len(got), want)
-	}
-}
-
-func TestSymmetricHashJoinMatchesReference(t *testing.T) {
-	left := []tuple.Row{tuple.IntsRow(1, 0), tuple.IntsRow(2, 1), tuple.IntsRow(2, 2)}
-	right := []tuple.Row{tuple.IntsRow(2, 10), tuple.IntsRow(3, 11), tuple.IntsRow(2, 12)}
-	j := NewSymmetricHashJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0)
-	got, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := referenceJoin(left, right, 0, 0)
-	normalise(got)
-	normalise(want)
-	if !joinRowsEqual(got, want) {
-		t.Errorf("symmetric hash join = %v, want %v", got, want)
-	}
-	if j.Schema().NumCols() != 4 {
-		t.Errorf("schema = %v", j.Schema())
-	}
-}
-
-func TestSymmetricHashJoinIsPipelined(t *testing.T) {
-	// The join must produce its first result before either input is
-	// exhausted — the property that lets it replace a blocking sort +
-	// merge join.
-	left := make([]tuple.Row, 1000)
-	right := make([]tuple.Row, 1000)
-	for i := range left {
-		left[i] = tuple.IntsRow(int64(i), 0)
-		right[i] = tuple.IntsRow(int64(i), 1)
-	}
-	lv := NewValues(tuple.Ints(2), left)
-	rv := NewValues(tuple.Ints(2), right)
-	j := NewSymmetricHashJoin(lv, rv, nil, 0, 0)
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := j.Next(); err != nil || !ok {
-		t.Fatalf("no first row: %v %v", ok, err)
-	}
-	// Values tracks position; after one result at most a handful of
-	// rows were pulled from each side.
-	if lv.pos > 5 || rv.pos > 5 {
-		t.Errorf("join buffered inputs before first result: left=%d right=%d", lv.pos, rv.pos)
-	}
-	j.Close()
-}
-
-func TestSymmetricHashJoinUnevenInputs(t *testing.T) {
-	// One side much longer than the other; the alternation must drain
-	// the longer side after the shorter finishes.
-	var left, right []tuple.Row
-	for i := int64(0); i < 5; i++ {
-		left = append(left, tuple.IntsRow(i))
-	}
-	for i := int64(0); i < 500; i++ {
-		right = append(right, tuple.IntsRow(i%10))
-	}
-	j := NewSymmetricHashJoin(NewValues(tuple.Ints(1), left), NewValues(tuple.Ints(1), right), nil, 0, 0)
-	got, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := referenceJoin(left, right, 0, 0)
-	if len(got) != len(want) {
-		t.Errorf("rows = %d, want %d", len(got), len(want))
-	}
-}
-
-// Property: symmetric hash join ≡ hash join ≡ reference, with
-// duplicate keys on both sides.
-func TestSymmetricHashJoinEquivalenceProperty(t *testing.T) {
-	f := func(lraw, rraw []uint8) bool {
-		left := make([]tuple.Row, len(lraw))
-		for i, v := range lraw {
-			left[i] = tuple.IntsRow(int64(v)%8, int64(i))
-		}
-		right := make([]tuple.Row, len(rraw))
-		for i, v := range rraw {
-			right[i] = tuple.IntsRow(int64(v)%8, int64(i)+100)
-		}
-		want := referenceJoin(left, right, 0, 0)
-		normalise(want)
-		got, err := Drain(NewSymmetricHashJoin(NewValues(tuple.Ints(2), left), NewValues(tuple.Ints(2), right), nil, 0, 0))
-		if err != nil {
-			return false
-		}
-		normalise(got)
-		return joinRowsEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -341,7 +341,7 @@ func TestMergeJoinOverOrderedSmoothScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mj := exec.NewMergeJoin(lScan, rScan, dev, 1, 1)
+	mj := exec.NewMergeJoinBatch(lScan, rScan, dev, 1, 1)
 	nMerge, err := exec.Count(mj)
 	if err != nil {
 		t.Fatalf("merge join over smooth scans: %v", err)
@@ -349,10 +349,10 @@ func TestMergeJoinOverOrderedSmoothScans(t *testing.T) {
 
 	// Reference: hash join over full scans.
 	pool.Reset()
-	hj := exec.NewHashJoin(
+	hj := exec.NewHashJoinBatch(
 		access.NewFullScan(left.File, pool, pred),
 		access.NewFullScan(right.File, pool, pred),
-		dev, 1, 1,
+		dev, 1, 1, false,
 	)
 	nHash, err := exec.Count(hj)
 	if err != nil {

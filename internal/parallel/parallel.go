@@ -49,7 +49,7 @@ import (
 	"smoothscan/internal/tuple"
 )
 
-// ErrClosed is returned by Next/NextBatch before Open or after Close.
+// ErrClosed is returned by NextBatch before Open or after Close.
 var ErrClosed = errors.New("parallel: scan is not open")
 
 // Shard is one worker's disjoint heap page range [PageLo, PageHi).
@@ -90,7 +90,7 @@ func PartitionPages(numPages int64, p int) []Shard {
 type Worker struct {
 	// Op is the shard scan; it is Opened, drained via NextBatch and
 	// Closed entirely on the worker's goroutine.
-	Op exec.BatchOperator
+	Op exec.Operator
 	// Flush, when non-nil, runs on the worker goroutine after Op is
 	// closed — typically the bufferpool view's FlushCPU, folding the
 	// worker's deferred simulated-CPU charges into the device totals.
@@ -116,11 +116,8 @@ type Options struct {
 	Ctx context.Context
 }
 
-// Scan is the merged parallel scan operator. It implements the
-// Volcano protocol and the batched fast path; drain it through
-// NextBatch (mixing Next and NextBatch on the same Scan is not
-// supported — rows buffered by one protocol are invisible to the
-// other).
+// Scan is the merged parallel scan operator, an exec.Operator drained
+// through NextBatch.
 //
 // A Scan (like any operator) must be driven by a single goroutine; the
 // parallelism lives behind it.
@@ -154,10 +151,6 @@ type Scan struct {
 
 	// Ordered k-way merge.
 	streams []*stream
-
-	// Per-tuple adapter state.
-	scratch    *tuple.Batch
-	scratchPos int
 }
 
 // stream is one worker's bounded pipe into the ordered merge.
@@ -224,8 +217,6 @@ func (s *Scan) Open() error {
 	s.eos = false
 	s.cur = nil
 	s.curPos = 0
-	s.scratch = nil
-	s.scratchPos = 0
 
 	openErrs := make([]error, p)
 	opened := make([]bool, p)
@@ -485,31 +476,6 @@ func (s *Scan) ensure(st *stream) error {
 	return nil
 }
 
-// Next returns the next merged row through an internal batch adapter.
-// The returned row is owned by the caller.
-func (s *Scan) Next() (tuple.Row, bool, error) {
-	if !s.open {
-		return nil, false, ErrClosed
-	}
-	if s.scratch == nil {
-		s.scratch = s.newBatch()
-		s.scratchPos = 0
-	}
-	if s.scratchPos >= s.scratch.Len() {
-		n, err := s.NextBatch(s.scratch)
-		if err != nil {
-			return nil, false, err
-		}
-		if n == 0 {
-			return nil, false, nil
-		}
-		s.scratchPos = 0
-	}
-	row := s.scratch.Row(s.scratchPos).Clone()
-	s.scratchPos++
-	return row, true, nil
-}
-
 // Close stops the workers (cancelling any still running), waits for
 // them to finish and releases the exchange buffers. It returns the
 // first worker error not yet surfaced through NextBatch, so a failed
@@ -531,6 +497,5 @@ func (s *Scan) Close() error {
 	s.free = nil
 	s.streams = nil
 	s.cur = nil
-	s.scratch = nil
 	return s.err
 }

@@ -264,6 +264,9 @@ func TestCloseEarlyStopsWorkers(t *testing.T) {
 	}
 }
 
+// TestPerTupleAdapter drains the merged scan through one-row batches —
+// the tuple-at-a-time pull — smaller than the exchange batches the
+// workers hand over.
 func TestPerTupleAdapter(t *testing.T) {
 	schema := testSchema()
 	s, err := NewScan([]Worker{
@@ -276,18 +279,19 @@ func TestPerTupleAdapter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	b := tuple.NewBatchFor(schema, 1)
 	var got []int64
 	for {
-		row, ok, err := s.Next()
+		n, err := s.NextBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		got = append(got, row.Int(0))
+		got = append(got, b.Row(0).Int(0))
 	}
 	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("per-tuple drain = %v", got)
+		t.Fatalf("one-row-batch drain = %v", got)
 	}
 }

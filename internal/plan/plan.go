@@ -271,9 +271,9 @@ type JoinSpec struct {
 	Dev *disk.Device
 }
 
-// BuildJoin constructs the batched join operator for the spec. The
+// BuildJoin constructs the join operator for the spec. The
 // returned operator also implements exec.JoinStatser.
-func BuildJoin(spec JoinSpec) (exec.BatchOperator, error) {
+func BuildJoin(spec JoinSpec) (exec.Operator, error) {
 	if spec.Left == nil || spec.Right == nil {
 		return nil, fmt.Errorf("plan: join requires two inputs")
 	}

@@ -73,21 +73,21 @@ func (db *DB) Q12(pool *bufferpool.Pool, plan Q12Plan) (QueryResult, error) {
 			return QueryResult{}, err
 		}
 		orders := access.NewFullScan(db.Orders.File, pool, tuple.All(OOrderkey))
-		join := exec.NewHashJoin(scan, orders, db.Dev, LOrderkey, OOrderkey)
+		join := exec.NewHashJoinBatch(scan, orders, db.Dev, LOrderkey, OOrderkey, false)
 		return run(buildAgg(join))
 	case Q12PlanTunedINLJ:
 		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: PathIndex})
 		if err != nil {
 			return QueryResult{}, err
 		}
-		join := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), db.Dev, LOrderkey)
+		join := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Orders.File, pool, db.Orders.PK), LOrderkey)
 		return run(buildAgg(join))
 	case Q12PlanSmooth:
 		scan, err := db.ScanLineitem(pool, pred, ScanSpec{Path: PathSmooth, Smooth: DefaultSmooth()})
 		if err != nil {
 			return QueryResult{}, err
 		}
-		join := exec.NewIndexNestedLoopJoin(scan, exec.NewMorphingLookup(db.Orders.File, pool, db.Orders.PK, OOrderkey), db.Dev, LOrderkey)
+		join := exec.NewIndexNestedLoopJoin(scan, exec.NewMorphingLookup(db.Orders.File, pool, db.Orders.PK, OOrderkey), LOrderkey)
 		return run(buildAgg(join))
 	default:
 		return QueryResult{}, fmt.Errorf("tpch: unknown Q12 plan %d", plan)

@@ -247,7 +247,7 @@ func TestSmoothLookupWorksAsInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinPlain := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Part.File, pool, db.Part.PK), db.Dev, LPartkey)
+	joinPlain := exec.NewIndexNestedLoopJoin(scan, exec.NewIndexLookup(db.Part.File, pool, db.Part.PK), LPartkey)
 	nPlain, err := exec.Count(joinPlain)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestSmoothLookupWorksAsInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinSmooth := exec.NewIndexNestedLoopJoin(scan2, exec.NewSmoothLookup(db.Part.File, pool, db.Part.PK), db.Dev, LPartkey)
+	joinSmooth := exec.NewIndexNestedLoopJoin(scan2, exec.NewSmoothLookup(db.Part.File, pool, db.Part.PK), LPartkey)
 	nSmooth, err := exec.Count(joinSmooth)
 	if err != nil {
 		t.Fatal(err)

@@ -102,18 +102,6 @@ func (c *cachedOp) Schema() *tuple.Schema { return c.schema }
 func (c *cachedOp) Open() error           { c.pos = 0; c.open = true; return nil }
 func (c *cachedOp) Close() error          { c.open = false; return nil }
 
-func (c *cachedOp) Next() (tuple.Row, bool, error) {
-	if !c.open {
-		return nil, false, exec.ErrClosed
-	}
-	if c.pos >= c.rows {
-		return nil, false, nil
-	}
-	i := c.pos
-	c.pos++
-	return tuple.Row(c.flat[i*c.width : (i+1)*c.width : (i+1)*c.width]), true, nil
-}
-
 func (c *cachedOp) NextBatch(out *tuple.Batch) (int, error) {
 	if !c.open {
 		return 0, exec.ErrClosed

@@ -752,8 +752,8 @@ func (s *ShardedDB) compileShardExec(q *qspec.Spec, qt *qtemplate, lits []int64,
 	return se, nil
 }
 
-// shardRowsOp adapts one shard's cursor to the batched operator
-// protocol, so the parallel gather can drive it as a worker. start is
+// shardRowsOp adapts one shard's cursor to the operator protocol, so
+// the parallel gather can drive it as a worker. start is
 // deferred to Open — pruned or never-opened shards never construct a
 // cursor, hence never touch their device (or network). The op records
 // whether its shard failed as unavailable, for ExecStats.Shards.
@@ -778,11 +778,6 @@ func (o *shardRowsOp) Open() error {
 func (o *shardRowsOp) NextBatch(b *tuple.Batch) (int, error) {
 	n, err := o.cur.fill(b)
 	return n, o.noteErr(err)
-}
-
-func (o *shardRowsOp) Next() (tuple.Row, bool, error) {
-	row, ok, err := o.cur.next()
-	return row, ok, o.noteErr(err)
 }
 
 // noteErr flags a shard-unavailable failure on its way out. The flag
@@ -831,18 +826,21 @@ func (s *ShardedDB) startSharded(ctx context.Context, sr *ShardedRows, run runne
 		// into memory once, before the workers start.
 		var bcRows []tuple.Row
 		if se.strategy == strategyBroadcast {
+			bcBatch := tuple.NewBatchFor(se.bcSchema, exec.DefaultBatchSize)
 			for _, si := range se.bcActive {
 				cur, err := run.side(ctx, se.bcInput, si)
 				if err != nil {
 					return err
 				}
 				for {
-					row, ok, rerr := cur.next()
-					if rerr != nil || !ok {
-						err = rerr
+					n, ferr := cur.fill(bcBatch)
+					if ferr != nil || n == 0 {
+						err = ferr
 						break
 					}
-					bcRows = append(bcRows, row.Clone())
+					for i := 0; i < n; i++ {
+						bcRows = append(bcRows, bcBatch.Row(i).Clone())
+					}
 				}
 				if cerr := cur.close(); err == nil {
 					err = cerr
@@ -856,7 +854,7 @@ func (s *ShardedDB) startSharded(ctx context.Context, sr *ShardedRows, run runne
 		workers := make([]parallel.Worker, 0, len(se.active))
 		for _, si := range se.active {
 			si := si
-			var op exec.BatchOperator
+			var op exec.Operator
 			if se.strategy == strategyBroadcast {
 				scanOp := &shardRowsOp{
 					schema: se.scanSchema,

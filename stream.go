@@ -106,7 +106,7 @@ func (r *stream) fill(b *tuple.Batch) (int, error) {
 				return 0, err
 			}
 		}
-		n, err := exec.NextBatch(r.op, b)
+		n, err := r.op.NextBatch(b)
 		if err != nil {
 			if r.recover != nil && r.recover(err) {
 				continue
